@@ -14,10 +14,9 @@ from .graph import Graph
 
 
 def _as_adj(g):
-    """(n, neighbor lists) for a Graph or anything LabeledGraph-shaped."""
-    if isinstance(g, Graph):
-        return g.n, [list(g.neighbors(v)) for v in range(g.n)]
-    return g.num_nodes(), [list(g.neighbors(i)) for i in range(g.num_nodes())]
+    """(n, neighbor tuples) for a Graph or anything LabeledGraph-shaped."""
+    n = g.n if isinstance(g, Graph) else g.num_nodes()
+    return n, [g.neighbors(v) for v in range(n)]
 
 
 def _refine(n, adj, colors):

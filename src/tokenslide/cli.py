@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
 from .decompose import decompose_join, join_spec_from_json
 from .enumeration import enumerate_connected_graphs, enumerate_trees
 from .errors import InputError, ResourceCap
-from .geometry import (check_general_position, delaunay,
-                       edge_intersection_graph, flip_graph, lawson_distance,
-                       triangulations)
+from .geometry import (check_general_position, delaunay, flip_graph,
+                       lawson_distance, triangulations)
 from .graph import (complete, complete_bipartite, complete_minus_edge, cycle,
                     path, star)
 from .io import (export_dot, graph_from_json, labeled_to_json, parse_graph6,
@@ -102,7 +100,6 @@ def _build_parser():
                    help="exhaustive search for this target (graph6)")
     r.add_argument("--max-n", type=int, default=6,
                    help="search bound on base vertices")
-    r.add_argument("--threads", type=int, default=os.cpu_count())
 
     d = subs.add_parser("decompose", help="join decomposition of TS_k")
     d.add_argument("--spec", help="path to a JoinSpec JSON file")
@@ -125,7 +122,6 @@ def _build_parser():
 
     s = subs.add_parser("search", help="run a named batch search")
     s.add_argument("name", help=f"one of: {', '.join(SEARCH_NAMES)}")
-    s.add_argument("--threads", type=int, default=os.cpu_count())
     return p
 
 
@@ -150,10 +146,16 @@ def _cmd_gen(args):
     return 0
 
 
+def _require_k(k, flag):
+    if k is not None and k < 1:
+        raise InputError(f"{flag} must be >= 1, got {k}")
+
+
 def _cmd_build(args):
     g = _read_graph(args)
     if args.all == (args.k is not None):
         raise InputError("choose exactly one of --k or --all")
+    _require_k(args.k, "--k")
     lab = build_TS(g) if args.all else build_TSk(g, args.k)
     if args.format == "dot":
         sys.stdout.write(export_dot(lab))
@@ -166,6 +168,7 @@ def _cmd_analyze(args):
     g = _read_graph(args)
     if args.ts is not None and args.ts_all:
         raise InputError("--ts and --ts-all are mutually exclusive")
+    _require_k(args.ts, "--ts")
     target = g
     if args.ts is not None:
         target = build_TSk(g, args.ts)
@@ -182,7 +185,7 @@ def _cmd_realize(args):
         raise InputError("choose exactly one of --family, --split, --search")
     if args.search is not None:
         result = search_realizer(parse_graph6(args.search), args.k,
-                                 args.max_n, threads=args.threads)
+                                 args.max_n)
     elif args.split is not None:
         result = realize_split(parse_graph6(args.split), args.k)
     else:
@@ -211,20 +214,21 @@ def _cmd_decompose(args):
     return 0
 
 
-def _read_points(args):
-    if args.points:
-        raw = json.loads(args.points)
-    elif args.stdin:
-        raw = json.load(sys.stdin)
-    else:
-        raise InputError("no points given; use --points or --stdin")
+def _json_pairs(text, what):
+    """A JSON list; geometry checks its entries."""
+    raw = json.loads(text)
     if not isinstance(raw, list):
-        raise InputError("points JSON must be a list of [x, y] pairs")
-    return [tuple(p) for p in raw]
+        raise InputError(f"{what} JSON must be a list of pairs")
+    return raw
 
 
 def _cmd_geom(args):
-    pts = _read_points(args)
+    if args.points:
+        pts = _json_pairs(args.points, "points")
+    elif args.stdin:
+        pts = _json_pairs(sys.stdin.read(), "points")
+    else:
+        raise InputError("no points given; use --points or --stdin")
     out = {}
     if args.check:
         verdict = check_general_position(pts)
@@ -237,25 +241,26 @@ def _cmd_geom(args):
     if args.triangulations:
         out["triangulations"] = [
             [list(seg) for seg in t] for t in triangulations(pts)]
+    if args.flip_graph or args.check_ts_iso:
+        fg = flip_graph(pts)
     if args.flip_graph:
-        out["flip_graph"] = labeled_to_json(flip_graph(pts))
+        out["flip_graph"] = labeled_to_json(fg)
     if args.delaunay:
         out["delaunay"] = [list(seg) for seg in delaunay(pts)]
     if args.check_ts_iso:
-        sg = edge_intersection_graph(pts)
-        fg = flip_graph(pts)
-        if sg.graph.n == 0:
+        crossing = fg.base
+        if crossing.n == 0:
             a = 0
             ok = fg.num_nodes() == 1 and fg.num_edges() == 0
         else:
-            a = alpha(sg.graph)
-            ts = build_TSk(sg.graph, a)
+            a = alpha(crossing)
+            ts = build_TSk(crossing, a)
             ok = ([l.mask for l in fg.labels] == [l.mask for l in ts.labels]
                   and fg.edges() == ts.edges())
         out["ts_iso"] = {"isomorphic": ok, "alpha": a,
                          "triangulations": fg.num_nodes()}
     if args.lawson is not None:
-        t = [tuple(seg) for seg in json.loads(args.lawson)]
+        t = _json_pairs(args.lawson, "--lawson")
         out["lawson_flips"] = lawson_distance(t, pts)
     if not out:
         raise InputError("no geom action requested")
@@ -264,7 +269,7 @@ def _cmd_geom(args):
 
 
 def _cmd_search(args):
-    report = run_search(args.name, threads=args.threads)
+    report = run_search(args.name)
     _emit(report.to_json())
     print(f"wall time: {report.wall_time:.3f}s", file=sys.stderr)
     return 0
@@ -289,7 +294,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except InputError as exc:
+    except (InputError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCap as exc:

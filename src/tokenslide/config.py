@@ -7,6 +7,8 @@ TOKENSLIDE_NODE_BUDGET overrides the default for a whole process.
 
 import os
 
+from .errors import InputError
+
 DEFAULT_NODE_BUDGET = 2 ** 22
 
 # canonical-form backtracking: search tree nodes before TooLargeForIso
@@ -22,9 +24,9 @@ def node_budget(override=None):
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(
+            raise InputError(
                 f"TOKENSLIDE_NODE_BUDGET must be an integer, got {env!r}")
         if value < 1:
-            raise ValueError("TOKENSLIDE_NODE_BUDGET must be positive")
+            raise InputError("TOKENSLIDE_NODE_BUDGET must be positive")
         return value
     return DEFAULT_NODE_BUDGET

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, NoStableSetOfSizeK, UniverseOverlap
-from .graph import Graph, VertexSet, _as_vset, disjoint_union, join
+from .graph import Graph, VertexSet, _as_vset, disjoint_union, join, members
 from .io import format_label, graph_from_json, graph_to_json
 from .reconf import LabeledGraph, build_TSk, build_TSk_induced
 from .stable import independent_sets_of_size
@@ -205,7 +205,7 @@ def decompose_join(spec):
         nodes_a, edges_a = _product_mask_edges(fa1, fa2)
         nodes_b, edges_b = _product_mask_edges(fb1, fb2)
         combined = nodes_a | nodes_b
-        ordered = sorted(combined, key=_mask_members_key)
+        ordered = sorted(combined, key=members)
         prov = []
         for m in ordered:
             if m in nodes_a and m in nodes_b:
@@ -274,15 +274,6 @@ def decompose_join(spec):
         product_edges=tuple(product_local),
         extra_within=tuple(extra_within),
         cross_edges=cross, part_of=tuple(part_of))
-
-
-def _mask_members_key(m):
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
 
 
 def check_disconnection(spec, i):

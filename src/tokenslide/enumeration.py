@@ -15,7 +15,7 @@ import networkx as nx
 
 from .canon import canonical_form
 from .errors import NTooLarge
-from .graph import Graph, make_graph
+from .graph import Graph, make_graph, members
 
 TREES_MAX_N = 10
 GRAPHS_MAX_N = 7
@@ -68,18 +68,12 @@ def enumerate_graphs(n):
 
 
 def _is_connected_graph(g):
-    if g.n == 0:
-        return True
     seen = 1
     frontier = [0]
     while frontier:
-        v = frontier.pop()
-        m = g.adjacency_mask(v) & ~seen
+        m = g.adjacency_mask(frontier.pop()) & ~seen
         seen |= m
-        while m:
-            low = m & -m
-            frontier.append(low.bit_length() - 1)
-            m ^= low
+        frontier.extend(members(m))
     return seen == (1 << g.n) - 1
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import (DegenerateSegment, GeneralPositionViolated, InputError,
                      TooFewPoints, TooManyPoints)
-from .graph import Graph, VertexSet, make_graph
+from .graph import Graph, VertexSet, make_graph, members
 from .reconf import LabeledGraph
 
 COORD_BOUND = 10 ** 6
@@ -29,7 +29,7 @@ POINTS_MAX = 10
 def _check_points(points):
     pts = []
     for p in points:
-        if len(p) != 2:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise InputError(f"point {p!r} is not an (x, y) pair")
         x, y = p
         if not isinstance(x, int) or not isinstance(y, int):
@@ -169,22 +169,13 @@ def _maximal_stable_sets(g):
         if p == 0 and x == 0:
             out.append(r)
             return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best, best_cnt = pivot, (comp[pivot] & p).bit_count()
-        rest = pivot_pool
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
+        best, best_cnt = -1, -1
+        for v in members(p | x):
             c = (comp[v] & p).bit_count()
             if c > best_cnt:
                 best, best_cnt = v, c
-        cand = p & ~comp[best]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
+        for v in members(p & ~comp[best]):
+            low = 1 << v
             extend(r | low, p & comp[v], x & comp[v])
             p &= ~low
             x |= low
@@ -194,29 +185,27 @@ def _maximal_stable_sets(g):
     return out
 
 
-def triangulations(points):
-    """All maximal non-crossing segment sets, each as a sorted pair tuple."""
+def _crossing_stables(points, what):
+    """The crossing graph and its maximal stable sets, checked equal-sized."""
     pts = _check_points(points)
     if len(pts) > POINTS_MAX:
         raise TooManyPoints(
-            f"triangulation enumeration supports up to {POINTS_MAX} points, "
-            f"got {len(pts)}")
+            f"{what} supports up to {POINTS_MAX} points, got {len(pts)}")
     sg = edge_intersection_graph(pts)
     stables = _maximal_stable_sets(sg.graph)
     sizes = {m.bit_count() for m in stables}
     if len(sizes) > 1:
         raise RuntimeError(
             f"maximal non-crossing sets of unequal sizes: {sorted(sizes)}")
-    out = []
-    for m in stables:
-        segs = list(sg.L)
-        rest = m
-        while rest:
-            low = rest & -rest
-            segs.append(sg.segments[low.bit_length() - 1])
-            rest ^= low
-        out.append(tuple(sorted(segs)))
-    return sorted(out)
+    return sg, stables
+
+
+def triangulations(points):
+    """All maximal non-crossing segment sets, each as a sorted pair tuple."""
+    sg, stables = _crossing_stables(points, "triangulation enumeration")
+    return sorted(
+        tuple(sorted(sg.L + tuple(sg.segments[v] for v in members(m))))
+        for m in stables)
 
 
 def flip_graph(points):
@@ -226,37 +215,17 @@ def flip_graph(points):
     slide-graph builder orders them, so the correspondence with
     TS_alpha of the crossing graph is label-for-label.
     """
-    pts = _check_points(points)
-    if len(pts) > POINTS_MAX:
-        raise TooManyPoints(
-            f"flip graph supports up to {POINTS_MAX} points, got {len(pts)}")
-    sg = edge_intersection_graph(pts)
-    stables = _maximal_stable_sets(sg.graph)
-    sizes = {m.bit_count() for m in stables}
-    if len(sizes) > 1:
-        raise RuntimeError(
-            f"maximal non-crossing sets of unequal sizes: {sorted(sizes)}")
-    nv = sg.graph.n
-
-    def members_key(m):
-        out = []
-        rest = m
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        return tuple(out)
-
-    stables = sorted(stables, key=members_key)
-    labels = [VertexSet(m, nv) for m in stables]
+    sg, stables = _crossing_stables(points, "flip graph")
+    stables = sorted(stables, key=members)
+    labels = [VertexSet(m, sg.graph.n) for m in stables]
     adj = [[] for _ in stables]
     for i in range(len(stables)):
         for j in range(i + 1, len(stables)):
             if (stables[i] ^ stables[j]).bit_count() == 2:
                 adj[i].append(j)
                 adj[j].append(i)
-    k = sizes.pop() if sizes else 0
-    return LabeledGraph("Flip", sg.graph, labels, adj, k=k)
+    return LabeledGraph("Flip", sg.graph, labels, adj,
+                        k=stables[0].bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +338,11 @@ def _validate_triangulation(t, pts):
     n = len(pts)
     segs = []
     for seg in t:
+        if (not isinstance(seg, (list, tuple)) or len(seg) != 2
+                or not all(isinstance(v, int) and 0 <= v < n for v in seg)
+                or seg[0] == seg[1]):
+            raise InputError(f"segment {seg!r} is not a valid point pair")
         a, b = seg
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise InputError(f"segment {seg} is not a valid point pair")
         segs.append((min(a, b), max(a, b)))
     if len(set(segs)) != len(segs):
         raise InputError("triangulation repeats a segment")

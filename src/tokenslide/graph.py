@@ -21,8 +21,8 @@ WIDTH_DEFAULT = 64
 WIDTH_MAX = 128
 
 
-def _mask_members(mask):
-    """Indices of the set bits, ascending."""
+def members(mask):
+    """Indices of the set bits, ascending: the one bit loop of the package."""
     out = []
     while mask:
         low = mask & -mask
@@ -64,7 +64,7 @@ class VertexSet:
         return cls(mask, n)
 
     def members(self):
-        return _mask_members(self.mask)
+        return members(self.mask)
 
     def __iter__(self):
         return iter(self.members())
@@ -134,7 +134,7 @@ class Graph:
         return VertexSet(self._adj[v], self.n)
 
     def neighbors(self, v):
-        return _mask_members(self._adj[v])
+        return members(self._adj[v])
 
     def degree(self, v):
         return self._adj[v].bit_count()
@@ -146,16 +146,8 @@ class Graph:
 
     def edges(self):
         """All edges as (u, v) with u < v, lexicographic."""
-        out = []
-        for u in range(self.n):
-            rest = self._adj[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+        return [(u, v) for u in range(self.n)
+                for v in members(self._adj[u] >> u + 1 << u + 1)]
 
     def num_edges(self):
         return sum(a.bit_count() for a in self._adj) // 2
@@ -322,7 +314,7 @@ def induced_subgraph(g, vertices):
     adj = [0] * m
     for v in keep:
         row = g.adjacency_mask(v) & vs.mask
-        for w in _mask_members(row):
+        for w in members(row):
             adj[pos[v]] |= 1 << pos[w]
     names = None
     if g.names is not None:

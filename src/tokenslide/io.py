@@ -98,6 +98,13 @@ def graph_from_json(obj):
         names = obj.get("names")
     except (TypeError, KeyError) as exc:
         raise MalformedGraph6(f"bad JSON graph object: {exc}")
+    if not isinstance(n, int) or not all(
+            len(e) == 2 and all(isinstance(v, int) for v in e)
+            for e in edges):
+        raise MalformedGraph6("JSON graph needs an integer n and edges "
+                              "that are pairs of integers")
+    if names is not None and not isinstance(names, list):
+        raise MalformedGraph6("JSON graph names must be a list or null")
     return make_graph(n, edges, names)
 
 

@@ -1,8 +1,9 @@
 """Graph property computations: planarity, coloring, Eulerian checks,
 girth, cliques, connectivity, and isomorphism-backed canonical forms.
 
-All functions accept either a Graph or a LabeledGraph; internally they
-work on neighbor bit masks, so node counts are not width-limited.
+All functions accept either a Graph or a LabeledGraph. Searches walk
+neighbor lists; the clique search works on neighbor bit masks over node
+indices, so node counts are not width-limited.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from typing import Optional, Union
 
 import networkx as nx
 
-from .canon import canonical_form, canonical_labeling, is_isomorphic, iso_map
-from .graph import Graph
+from .canon import (_as_adj, canonical_form, canonical_labeling,
+                    is_isomorphic, iso_map)
+from .graph import Graph, members
 
 
 class _InfiniteType:
@@ -59,25 +61,6 @@ def _node_count_and_masks(g):
     if isinstance(g, Graph):
         return g.n, [g.adjacency_mask(v) for v in range(g.n)]
     return g.num_nodes(), g.adjacency_masks()
-
-
-def _edge_list(n, masks):
-    out = []
-    for i in range(n):
-        rest = masks[i] >> (i + 1) << (i + 1)
-        while rest:
-            low = rest & -rest
-            out.append((i, low.bit_length() - 1))
-            rest ^= low
-    return out
-
-
-def _to_networkx(g):
-    n, masks = _node_count_and_masks(g)
-    h = nx.Graph()
-    h.add_nodes_from(range(n))
-    h.add_edges_from(_edge_list(n, masks))
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +130,16 @@ def _minimize_nonplanar(n, edges):
 
 def is_planar(g):
     """(planar, witness): witness is a Kuratowski subdivision edge tuple."""
-    n, masks = _node_count_and_masks(g)
-    h = _to_networkx(g)
+    n, _ = _as_adj(g)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
     ok, cert = nx.check_planarity(h, counterexample=True)
     if ok:
         return True, None
     edges = sorted((min(a, b), max(a, b)) for a, b in cert.edges())
     if classify_subdivision(n, edges) is None:
-        edges = sorted(_minimize_nonplanar(n, _edge_list(n, masks)))
+        edges = sorted(_minimize_nonplanar(n, g.edges()))
         if classify_subdivision(n, edges) is None:
             raise RuntimeError("failed to extract a Kuratowski witness")
     return False, tuple(edges)
@@ -166,31 +151,20 @@ def is_planar(g):
 
 def components(g):
     """Connected components as sorted tuples, ordered by smallest node."""
-    n, masks = _node_count_and_masks(g)
-    seen = 0
+    n, adj = _as_adj(g)
+    seen = [False] * n
     out = []
     for s in range(n):
-        if seen >> s & 1:
+        if seen[s]:
             continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= masks[low.bit_length() - 1]
-                rest ^= low
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        mem = []
-        rest = comp
-        while rest:
-            low = rest & -rest
-            mem.append(low.bit_length() - 1)
-            rest ^= low
-        out.append(tuple(mem))
+        seen[s] = True
+        comp = [s]
+        for u in comp:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        out.append(tuple(sorted(comp)))
     return out
 
 
@@ -198,41 +172,31 @@ def is_connected(g):
     return len(components(g)) <= 1
 
 
-def _bfs_dists(masks, source, n):
-    dist = [-1] * n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            nxt |= masks[low.bit_length() - 1]
-            rest ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            dist[low.bit_length() - 1] = d
-            rest ^= low
-    return dist
-
-
 def diameter(g):
     """Longest shortest path; INFINITE when disconnected, 0 for n <= 1."""
-    n, masks = _node_count_and_masks(g)
+    n, adj = _as_adj(g)
     if n <= 1:
         return 0
     best = 0
     for s in range(n):
-        dist = _bfs_dists(masks, s, n)
-        if min(dist) < 0:
+        seen = [False] * n
+        seen[s] = True
+        frontier = [s]
+        reached = 1
+        d = -1
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            reached += len(nxt)
+            frontier = nxt
+        if reached < n:
             return INFINITE
-        best = max(best, max(dist))
+        best = max(best, d)
     return best
 
 
@@ -243,18 +207,18 @@ def diameter(g):
 def is_eulerian(g):
     """Connected with all degrees even. Isolated-vertex graphs count only
     when connected, so K_1 is Eulerian but K_1 + K_1 is not."""
-    n, masks = _node_count_and_masks(g)
+    n, adj = _as_adj(g)
     if n == 0:
         return True
-    if any(m.bit_count() % 2 for m in masks):
+    if any(len(row) % 2 for row in adj):
         return False
     return is_connected(g)
 
 
 def components_eulerian(g):
     """Every connected component is Eulerian (equivalently: all degrees even)."""
-    n, masks = _node_count_and_masks(g)
-    return all(m.bit_count() % 2 == 0 for m in masks)
+    _, adj = _as_adj(g)
+    return all(len(row) % 2 == 0 for row in adj)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +227,7 @@ def components_eulerian(g):
 
 def girth(g):
     """Length of a shortest cycle, or INFINITE for forests."""
-    n, masks = _node_count_and_masks(g)
+    n, adj = _as_adj(g)
     best = None
     for s in range(n):
         dist = [-1] * n
@@ -276,11 +240,7 @@ def girth(g):
             qi += 1
             if best is not None and dist[u] * 2 >= best:
                 break
-            rest = masks[u]
-            while rest:
-                low = rest & -rest
-                w = low.bit_length() - 1
-                rest ^= low
+            for w in adj[u]:
                 if w == parent[u]:
                     continue
                 if dist[w] >= 0:
@@ -316,11 +276,7 @@ def _max_stable_in_masks(n, masks, stop_at=None):
             return
         # branch on a highest-degree-in-candidates vertex
         pick, pick_deg = -1, -1
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
+        for v in members(cand):
             d = (masks[v] & cand).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
@@ -360,7 +316,7 @@ def has_clique(g, s):
 # coloring
 
 
-def _try_color(n, masks, order, s):
+def _try_color(n, adj, order, s):
     """Backtracking s-coloring over the given vertex order."""
     color = [-1] * n
     used = 0  # number of distinct colors already placed
@@ -370,13 +326,9 @@ def _try_color(n, masks, order, s):
             return True
         v = order[idx]
         forbidden = 0
-        rest = masks[v]
-        while rest:
-            low = rest & -rest
-            c = color[low.bit_length() - 1]
-            rest ^= low
-            if c >= 0:
-                forbidden |= 1 << c
+        for w in adj[v]:
+            if color[w] >= 0:
+                forbidden |= 1 << color[w]
         limit = min(s, used + 1)  # first use of a new color: lowest index only
         for c in range(limit):
             if forbidden >> c & 1:
@@ -390,48 +342,44 @@ def _try_color(n, masks, order, s):
     return place(0, used)
 
 
-def _coloring_order(n, masks):
+def _coloring_order(n, adj):
     """Degeneracy-like order, highest degree first within a greedy peel."""
-    return sorted(range(n), key=lambda v: -masks[v].bit_count())
+    return sorted(range(n), key=lambda v: -len(adj[v]))
 
 
 def is_s_partite(g, s):
     """Can the nodes be split into s independent parts (s-colorable)?"""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    n, masks = _node_count_and_masks(g)
+    n, adj = _as_adj(g)
     if n == 0:
         return True
-    return _try_color(n, masks, _coloring_order(n, masks), s)
+    return _try_color(n, adj, _coloring_order(n, adj), s)
 
 
 def chromatic_number(g):
-    n, masks = _node_count_and_masks(g)
+    n, adj = _as_adj(g)
     if n == 0:
         return 0
-    if not any(masks):
+    if not any(adj):
         return 1
     low = clique_number(g)
     # greedy upper bound over the degree order
-    order = _coloring_order(n, masks)
+    order = _coloring_order(n, adj)
     color = [-1] * n
     high = 0
     for v in order:
         forbidden = 0
-        rest = masks[v]
-        while rest:
-            lowb = rest & -rest
-            c = color[lowb.bit_length() - 1]
-            rest ^= lowb
-            if c >= 0:
-                forbidden |= 1 << c
+        for w in adj[v]:
+            if color[w] >= 0:
+                forbidden |= 1 << color[w]
         c = 0
         while forbidden >> c & 1:
             c += 1
         color[v] = c
         high = max(high, c + 1)
     for s in range(low, high):
-        if _try_color(n, masks, order, s):
+        if _try_color(n, adj, order, s):
             return s
     return high
 
@@ -477,11 +425,11 @@ class PropertyReport:
 
 
 def analyze(g):
-    n, masks = _node_count_and_masks(g)
+    n, adj = _as_adj(g)
     planar, witness = is_planar(g)
     return PropertyReport(
         nodes=n,
-        edges=sum(m.bit_count() for m in masks) // 2,
+        edges=sum(map(len, adj)) // 2,
         connected=is_connected(g),
         component_count=len(components(g)),
         diameter=diameter(g),

@@ -9,23 +9,20 @@ nothing beyond that range, and its negative answer says exactly that.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .canon import is_isomorphic, iso_map
-from .enumeration import enumerate_graphs
+from .enumeration import GRAPHS_MAX_N, enumerate_graphs
 from .errors import (ConditionViolated, CycleTooSmall, InputError, KMismatch,
                      NExceedsK, NotConnected, NotIndependent, NTooLarge)
 from .graph import (Graph, VertexSet, _as_vset, add_isolated, complement,
-                    complete, cycle, disjoint_union, make_graph, path, star)
+                    complete, cycle, disjoint_union, make_graph, members, path,
+                    star)
 from .io import graph_to_json
 from .props import is_connected
 from .reconf import build_TSk
 from .stable import independent_sets_of_size, is_independent, kmax_partition
-
-SEARCH_MAX_N = 8
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -103,8 +100,7 @@ def realize_path(n, k):
     pad_mask = ((1 << (k - 2)) - 1) << (n + 1)
     witness = [0] * n
     for i, lab in enumerate(ts.labels):
-        pair = lab.mask & ~pad_mask
-        witness[i] = (pair & -pair).bit_length() - 1  # pair is {i, i+1}
+        witness[i] = members(lab.mask & ~pad_mask)[0]  # pair is {i, i+1}
     return Realization(path(n), k, base, tuple(witness))
 
 
@@ -125,9 +121,7 @@ def realize_cycle(n, k):
     pad_mask = ((1 << (k - 2)) - 1) << n
     witness = [0] * n
     for i, lab in enumerate(ts.labels):
-        pair = lab.mask & ~pad_mask
-        a = (pair & -pair).bit_length() - 1
-        b = (pair ^ (pair & -pair)).bit_length() - 1
+        a, b = members(lab.mask & ~pad_mask)
         # pair is a cycle edge {i, i+1} or the wrap pair {0, n-1}
         witness[i] = n - 1 if (a, b) == (0, n - 1) else a
     return Realization(cycle(n), k, base, tuple(witness))
@@ -286,7 +280,7 @@ def realize_disjoint_union(parts, k):
     ts = build_TSk(base, k)
     witness = [0] * ts.num_nodes()
     for i, lab in enumerate(ts.labels):
-        lo = (lab.mask & -lab.mask).bit_length() - 1
+        lo = members(lab.mask)[0]
         pi = max(j for j in range(len(parts)) if offsets[j] <= lo)
         local = VertexSet(lab.mask >> offsets[pi], parts[pi].base.n)
         li = part_ts[pi].index_of(local)
@@ -306,29 +300,21 @@ def _candidate_matches(g, target, k, target_edges):
     return iso_map(ts, target)
 
 
-def search_realizer(target, k, max_n, threads=None):
+def search_realizer(target, k, max_n):
     """Exhaustive base search over isomorph-free graphs up to max_n vertices.
 
     Returns the first hit in (vertex count, canonical order), or
     NoneUpTo(max_n). A negative answer is bounded evidence only.
     """
-    if max_n > SEARCH_MAX_N:
-        raise NTooLarge(f"search limited to {SEARCH_MAX_N} vertices, "
+    if max_n > GRAPHS_MAX_N:
+        raise NTooLarge(f"search limited to {GRAPHS_MAX_N} vertices, "
                         f"got {max_n}")
     _require(max_n >= 1, f"max_n must be >= 1, got {max_n}")
     _require(k >= 1, f"k must be >= 1, got {k}")
     target_edges = target.num_edges()
     for m in range(1, max_n + 1):
-        layer = enumerate_graphs(m)
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(
-                    lambda g: _candidate_matches(g, target, k, target_edges),
-                    layer))
-        else:
-            results = [_candidate_matches(g, target, k, target_edges)
-                       for g in layer]
-        for g, res in zip(layer, results):
+        for g in enumerate_graphs(m):
+            res = _candidate_matches(g, target, k, target_edges)
             if res is not None:
                 return Realization(target, k, g, tuple(res))
     return NoneUpTo(max_n)

@@ -12,7 +12,7 @@ from math import comb
 
 from .config import node_budget
 from .errors import ExplosionCap, IndexOutOfRange
-from .graph import Graph, VertexSet, _as_vset, induced_subgraph
+from .graph import Graph, VertexSet, _as_vset, induced_subgraph, members
 from .stable import all_independent_sets, cliques_of_size, independent_sets_of_size
 
 KINDS = ("TSk", "TS", "Lk", "Fk", "Flip", "Product", "Abstract")
@@ -117,24 +117,18 @@ class LabeledGraph:
 
 def _slide_edges(g, masks, index):
     """Adjacency rows under the token-slide rule, membership via index."""
+    # nbrs[u]: the neighbour bits of base vertex u, one int each
+    nbrs = [[1 << v for v in g.neighbors(u)] for u in range(g.n)]
     adj = [[] for _ in masks]
     for i, m in enumerate(masks):
-        occupied = m
-        rest = m
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            cand = g.adjacency_mask(u) & ~occupied
-            while cand:
-                lowv = cand & -cand
-                v = lowv.bit_length() - 1
-                cand ^= lowv
-                t = (m ^ low) | lowv
-                j = index.get(t)
-                if j is not None and j > i:
-                    adj[i].append(j)
-                    adj[j].append(i)
+        for u in members(m):
+            rest = m ^ 1 << u
+            for bv in nbrs[u]:
+                if not m & bv:
+                    j = index.get(rest | bv)
+                    if j is not None and j > i:
+                        adj[i].append(j)
+                        adj[j].append(i)
     return adj
 
 
@@ -168,37 +162,25 @@ def build_Lk(g, k, budget=None):
         raise ValueError(f"k must be >= 1, got {k}")
     fam = cliques_of_size(g, k, budget)
     masks = fam.masks()
-    index = {m: i for i, m in enumerate(masks)}
-    full = (1 << g.n) - 1
-    adj = [[] for _ in masks]
-    for i, m in enumerate(masks):
-        rest = m
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            others = m ^ low
-            cand = full
-            om = others
-            while om:
-                lo = om & -om
-                cand &= g.adjacency_mask(lo.bit_length() - 1)
-                om ^= lo
-            cand &= ~m
-            while cand:
-                lowv = cand & -cand
-                v = lowv.bit_length() - 1
-                cand ^= lowv
-                t = others | lowv
-                j = index.get(t)
-                if j is not None and j > i:
-                    adj[i].append(j)
-                    adj[j].append(i)
-    # the k=1 rule ("share zero vertices") makes L_1 complete, and the
-    # common-neighbor filter above would wrongly demand adjacency
     if k == 1:
-        adj = [[j for j in range(len(masks)) if j != i]
-               for i in range(len(masks))]
+        # the k=1 rule ("share zero vertices") makes L_1 complete; the
+        # common-neighbor rule below would wrongly demand adjacency
+        n = len(masks)
+        adj = [[j for j in range(n) if j != i] for i in range(n)]
+    else:
+        index = {m: i for i, m in enumerate(masks)}
+        adj = [[] for _ in masks]
+        for i, m in enumerate(masks):
+            for u in members(m):
+                others = m ^ 1 << u
+                cand = ~m  # k >= 2: others is not empty, so cand ends >= 0
+                for w in members(others):
+                    cand &= g.adjacency_mask(w)
+                for v in members(cand):
+                    j = index.get(others | 1 << v)
+                    if j is not None and j > i:
+                        adj[i].append(j)
+                        adj[j].append(i)
     return LabeledGraph("Lk", g, fam.members, adj, k=k)
 
 

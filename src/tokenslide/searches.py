@@ -2,13 +2,12 @@
 
 Each search builds full slide graphs for a fixed family and tallies
 planarity. Reports are deterministic: identical inputs give identical
-JSON regardless of thread count, so wall time stays out of to_json.
+JSON, so wall time stays out of to_json.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .enumeration import enumerate_connected_graphs, enumerate_trees
@@ -47,30 +46,24 @@ def _ts_planar_verdict(g):
     }
 
 
-def _map_verdicts(graphs, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(_ts_planar_verdict, graphs))
-    return [_ts_planar_verdict(g) for g in graphs]
-
-
-def run_search(name, threads=None):
-    """Run one named search; the report is independent of thread count."""
+def run_search(name):
+    """Run one named search."""
     start = time.monotonic()
     if name == "trees7":
-        verdicts = _map_verdicts(enumerate_trees(7), threads)
+        graphs = enumerate_trees(7)
     elif name == "trees8":
-        verdicts = _map_verdicts(enumerate_trees(8), threads)
+        graphs = enumerate_trees(8)
     elif name == "planar6":
         graphs = [g for g in enumerate_connected_graphs(6) if is_planar(g)[0]]
-        verdicts = _map_verdicts(graphs, threads)
     elif name == "cycles-planarity":
-        verdicts = _map_verdicts([cycle(n) for n in range(3, 9)], threads)
-        for v, n in zip(verdicts, range(3, 9)):
-            v["n"] = n
+        graphs = [cycle(n) for n in range(3, 9)]
     else:
         raise UnknownSearch(
             f"unknown search {name!r}; choices: {', '.join(SEARCH_NAMES)}")
+    verdicts = [_ts_planar_verdict(g) for g in graphs]
+    if name == "cycles-planarity":
+        for v, g in zip(verdicts, graphs):
+            v["n"] = g.n
     planar = sum(1 for v in verdicts if v["ts_planar"])
     summary = {"planar": planar, "nonplanar": len(verdicts) - planar}
     return SearchReport(name=name, verdicts=tuple(verdicts), summary=summary,

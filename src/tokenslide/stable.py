@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .config import node_budget
 from .errors import ExplosionCap, NotSplit, SubsetViolation
-from .graph import Graph, VertexSet, _as_vset, complement
+from .graph import Graph, VertexSet, _as_vset, complement, members
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,10 @@ def alpha(g):
             return
         # branch on a candidate of maximum degree within the candidates
         v, vdeg = -1, -1
-        m = cand
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
+        for u in members(cand):
             d = (adj[u] & cand).bit_count()
             if d > vdeg:
                 v, vdeg = u, d
-            m ^= low
         if vdeg == 0:
             # candidates are pairwise non-adjacent: take them all
             if size + cand.bit_count() > best:

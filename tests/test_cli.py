@@ -254,6 +254,32 @@ class TestHarness:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("case", [
+        "build-k-zero", "analyze-ts-zero", "points-not-pairs",
+        "points-not-json", "lawson-segment-of-one", "json-edge-of-one",
+        "budget-not-an-integer"])
+    def test_bad_input_is_exit_2(self, case, capsys, monkeypatch, tmp_path):
+        g6 = write_graph6(path(3))
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps({"n": 2, "edges": [[0]]}))
+        argv = {
+            "build-k-zero": ["build", "--graph6", g6, "--k", "0"],
+            "analyze-ts-zero": ["analyze", "--graph6", g6, "--ts", "0"],
+            "points-not-pairs": ["geom", "--points", "[1,2,3]", "--check"],
+            "points-not-json": ["geom", "--points", "notjson", "--check"],
+            "lawson-segment-of-one": ["geom", "--points", PTS_JSON,
+                                      "--lawson", "[[0]]"],
+            "json-edge-of-one": ["build", "--json", str(graph_file),
+                                 "--k", "1"],
+            "budget-not-an-integer": ["build", "--graph6", g6, "--k", "1"],
+        }[case]
+        if case == "budget-not-an-integer":
+            monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "abc")
+        code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_json_is_key_sorted(self, capsys):
         _, out, _ = run(capsys, "analyze", "--graph6", write_graph6(path(3)))
         assert out == json.dumps(json.loads(out), sort_keys=True,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tokenslide import (
     INFINITE,
     TooLargeForIso,
+    alpha,
     analyze,
     build_TS,
     build_TSk,
@@ -110,6 +111,33 @@ class TestComponentsAndDiameter:
         ts = build_TSk(path(n), k)
         assert is_connected(ts)
         assert diameter(ts) <= 2 * n * n
+
+
+class TestSlideGraphKernels:
+    """The BFS kernels on LabeledGraph input, against networkx."""
+
+    @given(st.integers(min_value=2, max_value=9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_diameter_girth_components_match_networkx(self, n, data):
+        # a path plus chords: its slide graphs are mostly connected, so
+        # finite diameters get compared, not only INFINITE
+        chords = [(u, v) for u in range(n) for v in range(u + 2, n)]
+        picked = data.draw(st.sets(st.sampled_from(chords))) if chords else ()
+        g = make_graph(n, [(i, i + 1) for i in range(n - 1)] + sorted(picked))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        ts = build_TSk(g, min(k, alpha(g)))
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(ts.num_nodes()))
+        nxg.add_edges_from(ts.edges())
+        assert ({frozenset(c) for c in components(ts)}
+                == {frozenset(c) for c in nx.connected_components(nxg)})
+        if nx.is_connected(nxg):
+            want = nx.diameter(nxg) if ts.num_nodes() > 1 else 0
+            assert diameter(ts) == want
+        else:
+            assert diameter(ts) is INFINITE
+        want = nx.girth(nxg)
+        assert girth(ts) == (INFINITE if want == float("inf") else want)
 
 
 class TestGirth:

@@ -35,6 +35,7 @@ from tokenslide import (
     star,
 )
 
+from tokenslide import realize
 from conftest import diamond, labelled_nodes, paw
 
 
@@ -204,14 +205,15 @@ class TestSearch:
         for target in [complete_bipartite(2, 3), complete_minus_edge(5)]:
             assert isinstance(search_realizer(target, 2, 5), NoneUpTo)
 
-    def test_threads_match_serial(self):
-        a = search_realizer(paw(), 2, 5)
-        b = search_realizer(paw(), 2, 5, threads=2)
-        assert a.to_json() == b.to_json()
+    def test_max_n_cap(self, monkeypatch):
+        # the cap is checked before any graph is enumerated
+        def no_enumeration(n):
+            raise AssertionError(f"enumerated graphs on {n} vertices")
 
-    def test_max_n_cap(self):
-        with pytest.raises(NTooLarge):
-            search_realizer(path(3), 2, 9)
+        monkeypatch.setattr(realize, "enumerate_graphs", no_enumeration)
+        for max_n in (8, 9):
+            with pytest.raises(NTooLarge):
+                search_realizer(path(3), 2, max_n)
         with pytest.raises(InputError):
             search_realizer(path(3), 2, 0)
 

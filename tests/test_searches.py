@@ -40,11 +40,6 @@ class TestRunSearch:
         v = r.verdicts[0]
         assert set(v) == {"graph6", "ts_nodes", "ts_edges", "ts_planar", "n"}
 
-    def test_threads_do_not_change_report(self):
-        a = run_search("trees7")
-        b = run_search("trees7", threads=2)
-        assert a.to_json() == b.to_json()
-
     def test_json_excludes_wall_time(self):
         r = run_search("cycles-planarity")
         assert isinstance(r, SearchReport)
