@@ -14,11 +14,11 @@ from .enumeration import (GRAPHS_MAX_N, TREES_MAX_N, enumerate_connected_graphs,
 from .errors import (ConditionViolated, CycleTooSmall, DegenerateSegment,
                      ExplosionCap, GeneralPositionViolated, IndexOutOfRange,
                      InputError, KMismatch, LoopEdge, MalformedGraph6,
-                     NExceedsK, NExceedsWidth, NoStableSetOfSizeK,
-                     NotConnected, NotIndependent, NotSplit, NTooLarge,
-                     ResourceCap, SubsetViolation, TokenslideError,
-                     TooFewPoints, TooLargeForIso, TooManyPoints,
-                     UniverseOverlap, UnknownSearch)
+                     MalformedJoinSpec, NExceedsK, NExceedsWidth,
+                     NoStableSetOfSizeK, NotConnected, NotIndependent,
+                     NotSplit, NTooLarge, ResourceCap, SubsetViolation,
+                     TokenslideError, TooFewPoints, TooLargeForIso,
+                     TooManyPoints, UniverseOverlap, UnknownSearch)
 from .geometry import (GeneralPosition, SegmentGraph, check_general_position,
                        convex_hull_size, delaunay, edge_intersection_graph,
                        flip_graph, in_circle, lawson_distance, orient,

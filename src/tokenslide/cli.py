@@ -44,12 +44,19 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _load_json_file(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _read_graph(args):
     if getattr(args, "graph6", None):
         return parse_graph6(args.graph6)
     if getattr(args, "json", None):
-        with open(args.json, encoding="utf-8") as fh:
-            return graph_from_json(json.load(fh))
+        return graph_from_json(_load_json_file(args.json))
     if getattr(args, "stdin", False):
         return parse_graph6(sys.stdin.readline())
     raise InputError("no graph given; use --graph6, --json, or --stdin")
@@ -203,8 +210,7 @@ def _cmd_realize(args):
 
 def _cmd_decompose(args):
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _load_json_file(args.spec)
     elif args.stdin:
         data = json.load(sys.stdin)
     else:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, NoStableSetOfSizeK, UniverseOverlap
+from .errors import (InputError, MalformedJoinSpec, NoStableSetOfSizeK,
+                     UniverseOverlap)
 from .graph import Graph, VertexSet, _as_vset, disjoint_union, join, members
 from .io import format_label, graph_from_json, graph_to_json
 from .reconf import LabeledGraph, build_TSk, build_TSk_induced
@@ -52,6 +53,14 @@ class JoinSpec:
 
 
 def join_spec_from_json(data):
+    if not (isinstance(data, dict)
+            and all(key in data for key in ("g1", "g2", "h1", "h2", "k"))
+            and isinstance(data["k"], int)
+            and all(isinstance(h, list) and all(isinstance(v, int) for v in h)
+                    for h in (data["h1"], data["h2"]))):
+        raise MalformedJoinSpec(
+            "JoinSpec JSON must be an object with graphs g1, g2, integer "
+            "lists h1, h2 and an integer k")
     g1 = graph_from_json(data["g1"])
     g2 = graph_from_json(data["g2"])
     return JoinSpec(g1, g2, _as_vset(data["h1"], g1.n),

@@ -98,6 +98,10 @@ class NoStableSetOfSizeK(InputError):
     """A factor graph has no stable set of size k."""
 
 
+class MalformedJoinSpec(InputError):
+    """JoinSpec JSON lacks a key of g1, g2, h1, h2, k or has a bad type."""
+
+
 # geometry
 
 class TooFewPoints(InputError):

@@ -113,36 +113,61 @@ def classify_subdivision(n, edges):
     return None
 
 
-def _minimize_nonplanar(n, edges):
-    """Shrink a non-planar edge set until removing any edge makes it planar."""
-    current = list(edges)
-    i = 0
-    while i < len(current):
-        trial = current[:i] + current[i + 1:]
-        h = nx.Graph()
-        h.add_edges_from(trial)
-        if not nx.check_planarity(h)[0]:
-            current = trial
-        else:
-            i += 1
-    return current
+def _planar(edges):
+    """Yes/no left-right planarity test of an edge list (Brandes 2009)."""
+    h = nx.Graph()
+    h.add_edges_from(edges)
+    return nx.check_planarity(h)[0]
+
+
+def _kuratowski_edges(edges):
+    """Greedy edge-minimal non-planar subgraph of a non-planar edge list.
+
+    Visits the edges in order and deletes each one whose removal leaves
+    the graph non-planar, which is the subgraph networkx's counterexample
+    search returns for lexicographic edges. Deleting a prefix of the
+    remaining edges keeps the graph non-planar exactly when deleting its
+    edges one by one does, so each kept edge is the last edge of the
+    shortest prefix whose removal makes the graph planar: gallop to
+    bracket that prefix, then bisect. That is about log m planarity tests
+    per kept edge instead of one per edge.
+    """
+    kept, rest = [], list(edges)
+    while rest:
+        lo, step = 0, 1
+        while True:  # gallop; kept + rest[lo:] is non-planar
+            hi = min(lo + step, len(rest))
+            if _planar(kept + rest[hi:]):
+                break
+            if hi == len(rest):
+                return kept
+            lo, step = hi, step * 2
+        while hi - lo > 1:  # bisect; kept + rest[hi:] is planar
+            mid = (lo + hi) // 2
+            if _planar(kept + rest[mid:]):
+                hi = mid
+            else:
+                lo = mid
+        kept.append(rest[hi - 1])
+        rest = rest[hi:]
+    return kept
 
 
 def is_planar(g):
-    """(planar, witness): witness is a Kuratowski subdivision edge tuple."""
-    n, _ = _as_adj(g)
-    h = nx.Graph()
-    h.add_nodes_from(range(n))
-    h.add_edges_from(g.edges())
-    ok, cert = nx.check_planarity(h, counterexample=True)
-    if ok:
+    """(planar, witness) with witness None when planar.
+
+    A witness is the edge tuple of the greedy edge-minimal Kuratowski
+    subdivision: the lexicographic edges, each deleted when the graph
+    without it stays non-planar.
+    """
+    edges = g.edges()
+    if _planar(edges):
         return True, None
-    edges = sorted((min(a, b), max(a, b)) for a, b in cert.edges())
-    if classify_subdivision(n, edges) is None:
-        edges = sorted(_minimize_nonplanar(n, g.edges()))
-        if classify_subdivision(n, edges) is None:
-            raise RuntimeError("failed to extract a Kuratowski witness")
-    return False, tuple(edges)
+    witness = tuple(_kuratowski_edges(edges))
+    n = g.n if isinstance(g, Graph) else g.num_nodes()
+    if classify_subdivision(n, witness) is None:
+        raise RuntimeError("failed to extract a Kuratowski witness")
+    return False, witness
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +287,27 @@ def _max_stable_in_masks(n, masks, stop_at=None):
     """Max independent set size over an adjacency mask list.
 
     With stop_at set, returns early once a set of that size is found.
+    Branches depth first on an explicit stack, taking the pick first.
     """
-    full = (1 << n) - 1
     best = 0
-
-    def grow(cand, size):
-        nonlocal best
+    stack = [((1 << n) - 1, 0)]  # (candidates, size of the set so far)
+    while stack:
+        cand, size = stack.pop()
         if size + cand.bit_count() <= best:
-            return
-        if not cand:
-            if size > best:
-                best = size
-            return
+            continue
         # branch on a highest-degree-in-candidates vertex
         pick, pick_deg = -1, -1
         for v in members(cand):
             d = (masks[v] & cand).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
-        if pick_deg == 0:
-            if size + cand.bit_count() > best:
-                best = size + cand.bit_count()
-            return
-        grow(cand & ~(1 << pick) & ~masks[pick], size + 1)
-        if stop_at is not None and best >= stop_at:
-            return
-        grow(cand & ~(1 << pick), size)
-
-    grow(full, 0)
+        if pick_deg <= 0:  # no candidates left, or no edges among them
+            best = size + cand.bit_count()
+            if stop_at is not None and best >= stop_at:
+                break
+            continue
+        stack.append((cand & ~(1 << pick), size))
+        stack.append((cand & ~(1 << pick) & ~masks[pick], size + 1))
     return best
 
 
@@ -317,29 +335,37 @@ def has_clique(g, s):
 
 
 def _try_color(n, adj, order, s):
-    """Backtracking s-coloring over the given vertex order."""
-    color = [-1] * n
-    used = 0  # number of distinct colors already placed
+    """Backtracking s-coloring over the given vertex order.
 
-    def place(idx, used):
-        if idx == len(order):
-            return True
+    Depth idx colors order[idx]; going back to a depth resumes after the
+    color it last tried, so colors are tried in increasing order.
+    """
+    m = len(order)
+    color = [-1] * n
+    resume = [0] * m  # next color to try at each depth
+    used = [0] * (m + 1)  # number of distinct colors before each depth
+    idx = 0
+    while 0 <= idx < m:
         v = order[idx]
+        color[v] = -1
         forbidden = 0
         for w in adj[v]:
             if color[w] >= 0:
                 forbidden |= 1 << color[w]
-        limit = min(s, used + 1)  # first use of a new color: lowest index only
-        for c in range(limit):
-            if forbidden >> c & 1:
-                continue
-            color[v] = c
-            if place(idx + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return place(0, used)
+        limit = min(s, used[idx] + 1)  # first use of a new color: lowest only
+        c = resume[idx]
+        while c < limit and forbidden >> c & 1:
+            c += 1
+        if c >= limit:
+            idx -= 1
+            continue
+        color[v] = c
+        resume[idx] = c + 1
+        used[idx + 1] = max(used[idx], c + 1)
+        idx += 1
+        if idx < m:
+            resume[idx] = 0
+    return idx == m
 
 
 def _coloring_order(n, adj):

@@ -14,7 +14,7 @@ from .enumeration import enumerate_connected_graphs, enumerate_trees
 from .errors import UnknownSearch
 from .graph import cycle
 from .io import write_graph6
-from .props import is_planar
+from .props import _planar
 from .reconf import build_TS
 
 SEARCH_NAMES = ("trees7", "trees8", "planar6", "cycles-planarity")
@@ -37,12 +37,11 @@ class SearchReport:
 
 def _ts_planar_verdict(g):
     ts = build_TS(g)
-    planar, _ = is_planar(ts)
     return {
         "graph6": write_graph6(g),
         "ts_nodes": ts.num_nodes(),
         "ts_edges": ts.num_edges(),
-        "ts_planar": planar,
+        "ts_planar": _planar(ts.edges()),
     }
 
 
@@ -54,7 +53,8 @@ def run_search(name):
     elif name == "trees8":
         graphs = enumerate_trees(8)
     elif name == "planar6":
-        graphs = [g for g in enumerate_connected_graphs(6) if is_planar(g)[0]]
+        graphs = [g for g in enumerate_connected_graphs(6)
+                  if _planar(g.edges())]
     elif name == "cycles-planarity":
         graphs = [cycle(n) for n in range(3, 9)]
     else:

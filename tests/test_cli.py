@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from tokenslide import (
     add_isolated,
     complete,
+    cycle,
     make_graph,
     parse_graph6,
     path,
@@ -136,6 +138,23 @@ class TestAnalyze:
         assert run(capsys, "analyze", "--graph6", write_graph6(path(3)),
                    "--ts", "2", "--ts-all")[0] == 2
 
+    # stdout SHA-256 of these commands as printed with networkx's
+    # one-edge-at-a-time witness search; a change to the witness or to
+    # any other field fails here
+    @pytest.mark.parametrize("graph,mode,sha", [
+        (path(12), ["--ts", "3"],
+         "ac1d216b1d2e255c13d704d61d023420e9d8b75b42ed932c71d59bb8200a0372"),
+        (cycle(12), ["--ts", "3"],
+         "1d43c5698b8267c16bb73d1c4ca17291b097ac172e8189046c0400d806131174"),
+        (cycle(10), ["--ts-all"],
+         "a083bc687f20c9097e0030fd38e7e496e355165a3488c838b52857e8e60dcbed"),
+    ], ids=["P12-ts3", "C12-ts3", "C10-ts-all"])
+    def test_golden_stdout(self, capsys, graph, mode, sha):
+        code, out, err = run(capsys, "analyze", "--graph6",
+                             write_graph6(graph), *mode)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestRealize:
     def test_family(self, capsys):
@@ -257,11 +276,14 @@ class TestHarness:
     @pytest.mark.parametrize("case", [
         "build-k-zero", "analyze-ts-zero", "points-not-pairs",
         "points-not-json", "lawson-segment-of-one", "json-edge-of-one",
-        "budget-not-an-integer"])
+        "budget-not-an-integer", "json-file-missing", "spec-file-missing",
+        "spec-missing-keys", "spec-not-an-object", "spec-k-not-an-integer",
+        "spec-h1-not-a-list"])
     def test_bad_input_is_exit_2(self, case, capsys, monkeypatch, tmp_path):
         g6 = write_graph6(path(3))
         graph_file = tmp_path / "g.json"
         graph_file.write_text(json.dumps({"n": 2, "edges": [[0]]}))
+        missing = str(tmp_path / "missing.json")
         argv = {
             "build-k-zero": ["build", "--graph6", g6, "--k", "0"],
             "analyze-ts-zero": ["analyze", "--graph6", g6, "--ts", "0"],
@@ -272,9 +294,20 @@ class TestHarness:
             "json-edge-of-one": ["build", "--json", str(graph_file),
                                  "--k", "1"],
             "budget-not-an-integer": ["build", "--graph6", g6, "--k", "1"],
+            "json-file-missing": ["build", "--json", missing, "--k", "1"],
+            "spec-file-missing": ["decompose", "--spec", missing],
+            "spec-missing-keys": ["decompose", "--stdin"],
+            "spec-not-an-object": ["decompose", "--stdin"],
+            "spec-k-not-an-integer": ["decompose", "--stdin"],
+            "spec-h1-not-a-list": ["decompose", "--stdin"],
         }[case]
         if case == "budget-not-an-integer":
             monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "abc")
+        spec = TestDecompose.SPEC
+        stdin = {"spec-missing-keys": "{}", "spec-not-an-object": "[1, 2]",
+                 "spec-k-not-an-integer": json.dumps({**spec, "k": "1"}),
+                 "spec-h1-not-a-list": json.dumps({**spec, "h1": 3})}
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin.get(case, "")))
         code, out, err = run(capsys, *argv)
         assert code == 2, err
         assert out == ""

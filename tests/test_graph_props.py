@@ -2,11 +2,12 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
     INFINITE,
+    Graph,
     TooLargeForIso,
     alpha,
     analyze,
@@ -234,6 +235,19 @@ class TestChromatic:
                     <= chromatic_number(g) - 1
 
 
+class TestDeepSearches:
+    def test_slide_graph_past_recursion_limit(self):
+        # 1,081 nodes: the clique and coloring searches go one level
+        # deeper per node, past Python's default recursion limit of 1,000
+        ts = build_TSk(path(48), 2)
+        assert ts.num_nodes() == 1081
+        assert clique_number(ts) == 2
+        assert chromatic_number(ts) == 2
+        assert is_s_partite(ts, 2) and not is_s_partite(ts, 1)
+        r = analyze(ts)
+        assert r.clique == 2 and r.chromatic == 2
+
+
 class TestCliqueOps:
     def test_bipartite_clique_number(self):
         assert clique_number(complete_bipartite(3, 3)) == 2
@@ -324,6 +338,53 @@ def contract_degree_two(nxg):
     return h
 
 
+def minimize_nonplanar(edges):
+    """One edge at a time, in order: delete each edge whose removal leaves
+    the graph non-planar (the reference for is_planar's witness)."""
+    current = list(edges)
+    i = 0
+    while i < len(current):
+        trial = current[:i] + current[i + 1:]
+        h = nx.Graph()
+        h.add_edges_from(trial)
+        if not nx.check_planarity(h)[0]:
+            current = trial
+        else:
+            i += 1
+    return current
+
+
+@st.composite
+def nonplanar_graphs(draw):
+    """Dense random graphs (more than 3n - 6 edges) and non-planar slide
+    graphs of paths and cycles with chords."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=5, max_value=14))
+        pairs = list(combinations(range(n), 2))
+        m = draw(st.integers(min_value=3 * n - 5, max_value=len(pairs)))
+        picked = draw(st.lists(st.sampled_from(pairs), min_size=m,
+                               max_size=m, unique=True))
+        return make_graph(n, sorted(picked))
+    n = draw(st.integers(min_value=7, max_value=10))
+    base = draw(st.sampled_from([path, cycle]))(n)
+    chords = draw(st.sets(st.sampled_from(list(combinations(range(n), 2))),
+                          max_size=2))
+    g = make_graph(n, sorted(set(base.edges()) | chords))
+    k = draw(st.sampled_from([2, 3, None]))
+    ts = build_TS(g) if k is None else build_TSk(g, k)
+    assume(not nx.check_planarity(lex_networkx(ts))[0])
+    return ts
+
+
+def lex_networkx(g):
+    """g in networkx with nodes 0..n-1 and edges added in lexicographic
+    order, which fixes the order of networkx's counterexample search."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n if isinstance(g, Graph) else g.num_nodes()))
+    h.add_edges_from(g.edges())
+    return h
+
+
 class TestPlanarity:
     @pytest.mark.parametrize("g,planar", [
         (complete(4), True),
@@ -355,6 +416,32 @@ class TestPlanarity:
         h = contract_degree_two(nx.Graph(list(witness)))
         assert (nx.is_isomorphic(h, nx.complete_graph(5))
                 or nx.is_isomorphic(h, nx.complete_bipartite_graph(3, 3)))
+
+    @given(nonplanar_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_witness_matches_one_edge_at_a_time(self, g):
+        planar, witness = is_planar(g)
+        assert not planar
+        assert list(witness) == minimize_nonplanar(g.edges())
+        cert = nx.check_planarity(lex_networkx(g), counterexample=True)[1]
+        assert list(witness) == sorted(
+            (min(a, b), max(a, b)) for a, b in cert.edges())
+
+    def test_witness_takes_few_planarity_tests(self, monkeypatch):
+        real = nx.check_planarity
+        calls = []
+
+        def counting(g, counterexample=False):
+            calls.append(counterexample)
+            return real(g, counterexample)
+
+        monkeypatch.setattr(nx, "check_planarity", counting)
+        ts = build_TSk(path(12), 3)  # 252 edges
+        planar, witness = is_planar(ts)
+        assert not planar
+        assert classify_subdivision(ts.num_nodes(), witness)
+        assert 0 < len(calls) <= 100
+        assert not any(calls)
 
     def test_classify_subdivision_direct(self):
         k5 = nx.complete_graph(5)
