@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from .config import DEFAULT_ISO_BUDGET
 from .errors import TooLargeForIso
-from .graph import Graph
 
 
 def _as_adj(g):
-    """(n, neighbor tuples) for a Graph or anything LabeledGraph-shaped."""
-    n = g.n if isinstance(g, Graph) else g.num_nodes()
+    """(n, neighbor tuples) of a Graph or LabeledGraph."""
+    n = g.num_nodes()
     return n, [g.neighbors(v) for v in range(n)]
 
 

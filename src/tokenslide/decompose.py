@@ -55,8 +55,8 @@ class JoinSpec:
 def join_spec_from_json(data):
     if not (isinstance(data, dict)
             and all(key in data for key in ("g1", "g2", "h1", "h2", "k"))
-            and isinstance(data["k"], int)
-            and all(isinstance(h, list) and all(isinstance(v, int) for v in h)
+            and type(data["k"]) is int  # not isinstance: rejects true
+            and all(isinstance(h, list) and all(type(v) is int for v in h)
                     for h in (data["h1"], data["h2"]))):
         raise MalformedJoinSpec(
             "JoinSpec JSON must be an object with graphs g1, g2, integer "
@@ -111,24 +111,13 @@ def product(a, b):
 
 
 def _product_mask_edges(fa, fb):
-    """Nodes (as union masks) and product-rule edges of fa x fb, where the
+    """Nodes (as union masks) and edges of product(fa, fb), where the
     factors are TS graphs over one shared base with disjoint label ranges."""
-    nodes = set()
-    for la in fa.labels:
-        for lb in fb.labels:
-            nodes.add(la.mask | lb.mask)
-    edges = set()
-    for i, j in fa.edges():
-        mi, mj = fa.labels[i].mask, fa.labels[j].mask
-        for lb in fb.labels:
-            e = (mi | lb.mask, mj | lb.mask)
-            edges.add((min(e), max(e)))
-    for i, j in fb.edges():
-        mi, mj = fb.labels[i].mask, fb.labels[j].mask
-        for la in fa.labels:
-            e = (la.mask | mi, la.mask | mj)
-            edges.add((min(e), max(e)))
-    return nodes, edges
+    p = product(fa, fb)
+    masks = [la.mask | lb.mask for la, lb in p.labels]
+    edges = {(min(masks[i], masks[j]), max(masks[i], masks[j]))
+             for i, j in p.edges()}
+    return set(masks), edges
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ import networkx as nx
 
 from .canon import canonical_form
 from .errors import NTooLarge
-from .graph import Graph, make_graph, members
+from .graph import Graph, make_graph
+from .props import is_connected
 
 TREES_MAX_N = 10
 GRAPHS_MAX_N = 7
@@ -67,19 +68,9 @@ def enumerate_graphs(n):
     return list(_graph_layer(n))
 
 
-def _is_connected_graph(g):
-    seen = 1
-    frontier = [0]
-    while frontier:
-        m = g.adjacency_mask(frontier.pop()) & ~seen
-        seen |= m
-        frontier.extend(members(m))
-    return seen == (1 << g.n) - 1
-
-
 def enumerate_connected_graphs(n):
     """Connected members of enumerate_graphs(n), same order."""
     if not 1 <= n <= GRAPHS_MAX_N:
         raise NTooLarge(
             f"graph enumeration supports 1..{GRAPHS_MAX_N}, got {n}")
-    return [g for g in enumerate_graphs(n) if _is_connected_graph(g)]
+    return [g for g in enumerate_graphs(n) if is_connected(g)]

@@ -32,7 +32,7 @@ def _check_points(points):
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise InputError(f"point {p!r} is not an (x, y) pair")
         x, y = p
-        if not isinstance(x, int) or not isinstance(y, int):
+        if type(x) is not int or type(y) is not int:  # rejects true, false
             raise InputError(f"point {p!r} has non-integer coordinates")
         if abs(x) > COORD_BOUND or abs(y) > COORD_BOUND:
             raise InputError(
@@ -339,7 +339,7 @@ def _validate_triangulation(t, pts):
     segs = []
     for seg in t:
         if (not isinstance(seg, (list, tuple)) or len(seg) != 2
-                or not all(isinstance(v, int) and 0 <= v < n for v in seg)
+                or not all(type(v) is int and 0 <= v < n for v in seg)
                 or seg[0] == seg[1]):
             raise InputError(f"segment {seg!r} is not a valid point pair")
         a, b = seg

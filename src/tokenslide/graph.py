@@ -126,8 +126,15 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def num_nodes(self):
+        return self.n
+
     def adjacency_mask(self, v):
         return self._adj[v]
+
+    def adjacency_masks(self):
+        """Neighbor bit masks of all vertices, as LabeledGraph gives them."""
+        return self._adj
 
     def adjacency(self, v):
         """Neighbors of v as a VertexSet."""

@@ -98,8 +98,9 @@ def graph_from_json(obj):
         names = obj.get("names")
     except (TypeError, KeyError) as exc:
         raise MalformedGraph6(f"bad JSON graph object: {exc}")
-    if not isinstance(n, int) or not all(
-            len(e) == 2 and all(isinstance(v, int) for v in e)
+    # type() and not isinstance(): JSON true and false are not integers
+    if type(n) is not int or not all(
+            len(e) == 2 and all(type(v) is int for v in e)
             for e in edges):
         raise MalformedGraph6("JSON graph needs an integer n and edges "
                               "that are pairs of integers")
@@ -132,7 +133,9 @@ def export_dot(g, graph_name="G"):
     lines = [f"graph {graph_name} {{"]
     if isinstance(g, Graph):
         for v in range(g.n):
-            lines.append(f'  v{v} [label="{g.name_of(v)}"];')
+            # names are free text; set labels are digits, dashes and "|"
+            name = g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  v{v} [label="{name}"];')
         for u, v in g.edges():
             lines.append(f"  v{u} -- v{v};")
     else:

@@ -2,8 +2,9 @@
 girth, cliques, connectivity, and isomorphism-backed canonical forms.
 
 All functions accept either a Graph or a LabeledGraph. Searches walk
-neighbor lists; the clique search works on neighbor bit masks over node
-indices, so node counts are not width-limited.
+neighbor lists; the clique search runs the maximum-stable-set search of
+stable.py on complement bit masks over node indices, so node counts are
+not width-limited.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import networkx as nx
 
 from .canon import (_as_adj, canonical_form, canonical_labeling,
                     is_isomorphic, iso_map)
-from .graph import Graph, members
+from .stable import _max_stable_in_masks
 
 
 class _InfiniteType:
@@ -55,12 +56,6 @@ class _InfiniteType:
 
 
 INFINITE = _InfiniteType()
-
-
-def _node_count_and_masks(g):
-    if isinstance(g, Graph):
-        return g.n, [g.adjacency_mask(v) for v in range(g.n)]
-    return g.num_nodes(), g.adjacency_masks()
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +159,7 @@ def is_planar(g):
     if _planar(edges):
         return True, None
     witness = tuple(_kuratowski_edges(edges))
-    n = g.n if isinstance(g, Graph) else g.num_nodes()
-    if classify_subdivision(n, witness) is None:
+    if classify_subdivision(g.num_nodes(), witness) is None:
         raise RuntimeError("failed to extract a Kuratowski witness")
     return False, witness
 
@@ -283,51 +277,25 @@ def girth(g):
 # cliques
 
 
-def _max_stable_in_masks(n, masks, stop_at=None):
-    """Max independent set size over an adjacency mask list.
-
-    With stop_at set, returns early once a set of that size is found.
-    Branches depth first on an explicit stack, taking the pick first.
-    """
-    best = 0
-    stack = [((1 << n) - 1, 0)]  # (candidates, size of the set so far)
-    while stack:
-        cand, size = stack.pop()
-        if size + cand.bit_count() <= best:
-            continue
-        # branch on a highest-degree-in-candidates vertex
-        pick, pick_deg = -1, -1
-        for v in members(cand):
-            d = (masks[v] & cand).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        if pick_deg <= 0:  # no candidates left, or no edges among them
-            best = size + cand.bit_count()
-            if stop_at is not None and best >= stop_at:
-                break
-            continue
-        stack.append((cand & ~(1 << pick), size))
-        stack.append((cand & ~(1 << pick) & ~masks[pick], size + 1))
-    return best
+def _max_clique(g, stop_at=None):
+    """Largest clique size, as a stable-set search in the complement."""
+    n, masks = g.num_nodes(), g.adjacency_masks()
+    full = (1 << n) - 1
+    comp = [full & ~masks[v] & ~(1 << v) for v in range(n)]
+    return _max_stable_in_masks(n, comp, stop_at)
 
 
 def clique_number(g):
-    n, masks = _node_count_and_masks(g)
-    full = (1 << n) - 1
-    comp = [full & ~masks[v] & ~(1 << v) for v in range(n)]
-    return _max_stable_in_masks(n, comp)
+    return _max_clique(g)
 
 
 def has_clique(g, s):
     """Does g contain a clique on s vertices?"""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    n, masks = _node_count_and_masks(g)
-    if s > n:
+    if s > g.num_nodes():
         return False
-    full = (1 << n) - 1
-    comp = [full & ~masks[v] & ~(1 << v) for v in range(n)]
-    return _max_stable_in_masks(n, comp, stop_at=s) >= s
+    return _max_clique(g, stop_at=s) >= s
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +337,7 @@ def _try_color(n, adj, order, s):
 
 
 def _coloring_order(n, adj):
-    """Degeneracy-like order, highest degree first within a greedy peel."""
+    """Nodes by descending degree, ties in index order."""
     return sorted(range(n), key=lambda v: -len(adj[v]))
 
 
@@ -383,13 +351,12 @@ def is_s_partite(g, s):
     return _try_color(n, adj, _coloring_order(n, adj), s)
 
 
-def chromatic_number(g):
-    n, adj = _as_adj(g)
+def _chromatic(n, adj, low):
+    """Chromatic number over neighbor lists, given a clique size low."""
     if n == 0:
         return 0
     if not any(adj):
         return 1
-    low = clique_number(g)
     # greedy upper bound over the degree order
     order = _coloring_order(n, adj)
     color = [-1] * n
@@ -408,6 +375,11 @@ def chromatic_number(g):
         if _try_color(n, adj, order, s):
             return s
     return high
+
+
+def chromatic_number(g):
+    n, adj = _as_adj(g)
+    return _chromatic(n, adj, clique_number(g))
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +425,23 @@ class PropertyReport:
 def analyze(g):
     n, adj = _as_adj(g)
     planar, witness = is_planar(g)
+    component_count = len(components(g))
+    connected = component_count <= 1
+    clique = clique_number(g)
+    even = components_eulerian(g)
     return PropertyReport(
         nodes=n,
         edges=sum(map(len, adj)) // 2,
-        connected=is_connected(g),
-        component_count=len(components(g)),
+        connected=connected,
+        component_count=component_count,
         diameter=diameter(g),
-        chromatic=chromatic_number(g),
-        clique=clique_number(g),
+        chromatic=_chromatic(n, adj, clique),
+        clique=clique,
         girth=girth(g),
         planar=planar,
         planar_witness=witness,
-        eulerian=is_eulerian(g),
-        components_eulerian=components_eulerian(g),
+        eulerian=even and connected,
+        components_eulerian=even,
     )
 
 

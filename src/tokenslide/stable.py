@@ -1,5 +1,8 @@
 """Independent sets, cliques, alpha/omega, and split-graph partitions.
 
+_max_stable_in_masks is the one maximum-stable-set search of the
+package; alpha, omega and props' clique_number and has_clique call it.
+
 Families are ordered by their sorted member tuples (the order the figures
 use for set labels), which for fixed-size sets is the colex-free, plain
 lexicographic order on tuples like (0,2,4) < (0,2,5) < (0,3,4).
@@ -101,33 +104,37 @@ def all_independent_sets(g, budget=None):
     return StableSetFamily(g, "all", tuple(VertexSet(m, g.n) for m in masks))
 
 
+def _max_stable_in_masks(n, masks, stop_at=None):
+    """Max independent set size over an adjacency mask list.
+
+    With stop_at set, returns early once a set of that size is found.
+    Branches depth first on an explicit stack, taking the pick first.
+    """
+    best = 0
+    stack = [((1 << n) - 1, 0)]  # (candidates, size of the set so far)
+    while stack:
+        cand, size = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        # branch on a highest-degree-in-candidates vertex
+        pick, pick_deg = -1, -1
+        for v in members(cand):
+            d = (masks[v] & cand).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        if pick_deg <= 0:  # no candidates left, or no edges among them
+            best = size + cand.bit_count()
+            if stop_at is not None and best >= stop_at:
+                break
+            continue
+        stack.append((cand & ~(1 << pick), size))
+        stack.append((cand & ~(1 << pick) & ~masks[pick], size + 1))
+    return best
+
+
 def alpha(g):
     """Maximum independent set size, exact."""
-    adj = g._adj
-    best = 0
-
-    def rec(cand, size):
-        nonlocal best
-        if size > best:
-            best = size
-        if size + cand.bit_count() <= best:
-            return
-        # branch on a candidate of maximum degree within the candidates
-        v, vdeg = -1, -1
-        for u in members(cand):
-            d = (adj[u] & cand).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
-        if vdeg == 0:
-            # candidates are pairwise non-adjacent: take them all
-            if size + cand.bit_count() > best:
-                best = size + cand.bit_count()
-            return
-        rec(cand & ~adj[v] & ~(1 << v), size + 1)
-        rec(cand & ~(1 << v), size)
-
-    rec((1 << g.n) - 1, 0)
-    return best
+    return _max_stable_in_masks(g.n, g._adj)
 
 
 def omega(g):

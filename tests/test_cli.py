@@ -210,6 +210,29 @@ class TestDecompose:
     def test_no_input(self, capsys):
         assert run(capsys, "decompose")[0] == 2
 
+    # stdout SHA-256 recorded before the product rule had one
+    # implementation; SPEC3's parts s = 1, 2 are built by that rule
+    SPEC3 = {
+        "g1": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+        "g2": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5],
+                                 [0, 5]]},
+        "h1": [0, 2],
+        "h2": [1],
+        "k": 3,
+    }
+
+    @pytest.mark.parametrize("spec,sha", [
+        (SPEC,
+         "a4d0026dbee4bf19469c7ee52c35c96407ca7586b68df8f164f2ab2f90ec6556"),
+        (SPEC3,
+         "8b9f6bf24b01c949291b21bad3acdf0cc032ba364bf1f6dfae0ff446afea7088"),
+    ], ids=["SPEC", "P5-C6-k3"])
+    def test_golden_stdout(self, capsys, monkeypatch, spec, sha):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+        code, out, err = run(capsys, "decompose", "--stdin")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestGeom:
     def test_check(self, capsys):
@@ -248,6 +271,15 @@ class TestGeom:
     def test_no_action(self, capsys):
         assert run(capsys, "geom", "--points", PTS_JSON)[0] == 2
 
+    def test_golden_stdout(self, capsys):
+        # stdout SHA-256 recorded before alpha shared the clique search
+        code, out, err = run(capsys, "geom", "--points", PTS_JSON, "--check",
+                             "--triangulations", "--flip-graph",
+                             "--check-ts-iso")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "5e4fdf60c3d584fd9a5de3c842f628ad920f19c309b08d74fbbab75530a46a04"
+
     def test_bad_points(self, capsys):
         assert run(capsys, "geom", "--points", "{}", "--check")[0] == 2
         assert run(capsys, "geom", "--points",
@@ -278,11 +310,18 @@ class TestHarness:
         "points-not-json", "lawson-segment-of-one", "json-edge-of-one",
         "budget-not-an-integer", "json-file-missing", "spec-file-missing",
         "spec-missing-keys", "spec-not-an-object", "spec-k-not-an-integer",
-        "spec-h1-not-a-list"])
+        "spec-h1-not-a-list", "spec-k-boolean", "spec-h1-boolean",
+        "json-n-boolean", "json-edge-boolean", "point-boolean",
+        "lawson-segment-boolean"])
     def test_bad_input_is_exit_2(self, case, capsys, monkeypatch, tmp_path):
         g6 = write_graph6(path(3))
         graph_file = tmp_path / "g.json"
         graph_file.write_text(json.dumps({"n": 2, "edges": [[0]]}))
+        n_true_file = tmp_path / "n_true.json"
+        n_true_file.write_text(json.dumps({"n": True, "edges": []}))
+        edge_bool_file = tmp_path / "edge_bool.json"
+        edge_bool_file.write_text(json.dumps({"n": 2,
+                                              "edges": [[False, True]]}))
         missing = str(tmp_path / "missing.json")
         argv = {
             "build-k-zero": ["build", "--graph6", g6, "--k", "0"],
@@ -300,13 +339,28 @@ class TestHarness:
             "spec-not-an-object": ["decompose", "--stdin"],
             "spec-k-not-an-integer": ["decompose", "--stdin"],
             "spec-h1-not-a-list": ["decompose", "--stdin"],
+            "spec-k-boolean": ["decompose", "--stdin"],
+            "spec-h1-boolean": ["decompose", "--stdin"],
+            "json-n-boolean": ["build", "--json", str(n_true_file),
+                               "--k", "1"],
+            "json-edge-boolean": ["build", "--json", str(edge_bool_file),
+                                  "--k", "1"],
+            "point-boolean": ["geom", "--points",
+                              "[[true,1],[7,16],[16,9],[8,0]]", "--check"],
+            # a triangulation of PTS_JSON with [0, 1] written as booleans
+            "lawson-segment-boolean": [
+                "geom", "--points", PTS_JSON, "--lawson",
+                "[[false,true],[0,2],[0,3],[0,4],[0,5],[1,2],[1,5],[2,3],"
+                "[2,4],[2,5],[3,4]]"],
         }[case]
         if case == "budget-not-an-integer":
             monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "abc")
         spec = TestDecompose.SPEC
         stdin = {"spec-missing-keys": "{}", "spec-not-an-object": "[1, 2]",
                  "spec-k-not-an-integer": json.dumps({**spec, "k": "1"}),
-                 "spec-h1-not-a-list": json.dumps({**spec, "h1": 3})}
+                 "spec-h1-not-a-list": json.dumps({**spec, "h1": 3}),
+                 "spec-k-boolean": json.dumps({**spec, "k": True}),
+                 "spec-h1-boolean": json.dumps({**spec, "h1": [True]})}
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin.get(case, "")))
         code, out, err = run(capsys, *argv)
         assert code == 2, err

@@ -247,6 +247,13 @@ class TestJsonAndDot:
             assert lab in dot
         assert dot.count(" -- ") == 6
 
+    def test_dot_escapes_names(self):
+        g = graph_from_json({"n": 2, "edges": [[0, 1]],
+                             "names": ['a"b', "c\\"]})
+        dot = export_dot(g)
+        assert '  v0 [label="a\\"b"];\n' in dot
+        assert '  v1 [label="c\\\\"];\n' in dot
+
 
 class TestTreeEnumeration:
     # counts for n = 1..8

@@ -37,6 +37,7 @@ from tokenslide import (
     iso_map,
     join,
     make_graph,
+    omega,
     path,
     relabel,
     star,
@@ -62,6 +63,31 @@ def brute_chromatic(g):
             if all(colors[a] != colors[b] for a, b in edges):
                 return s
     raise AssertionError("unreachable")
+
+
+def subset_chromatic(n, edges):
+    """Fewest independent sets covering 0..n-1, by dynamic programming
+    over vertex subsets (3^n steps)."""
+    independent = [True] * (1 << n)
+    for a, b in edges:
+        pair = (1 << a) | (1 << b)
+        for m in range(1 << n):
+            if m & pair == pair:
+                independent[m] = False
+    chi = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        rest = m ^ low
+        best = n
+        sub = rest
+        while True:  # every independent part of m holding its lowest vertex
+            if independent[sub | low]:
+                best = min(best, chi[rest ^ sub] + 1)
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        chi[m] = best
+    return chi[-1]
 
 
 def petersen():
@@ -139,6 +165,14 @@ class TestSlideGraphKernels:
             assert diameter(ts) is INFINITE
         want = nx.girth(nxg)
         assert girth(ts) == (INFINITE if want == float("inf") else want)
+        assert clique_number(ts) == max(len(c) for c in nx.find_cliques(nxg))
+        if ts.num_nodes() <= 10:
+            assert chromatic_number(ts) == subset_chromatic(
+                ts.num_nodes(), ts.edges())
+        base = to_networkx(g)
+        assert alpha(g) == max(
+            len(c) for c in nx.find_cliques(nx.complement(base)))
+        assert omega(g) == max(len(c) for c in nx.find_cliques(base))
 
 
 class TestGirth:
@@ -550,6 +584,19 @@ class TestAnalyze:
         assert js["planar"] is False
         assert sorted(map(sorted, js["planar_witness"])) == \
             sorted(map(sorted, [[a, b] for a, b in combinations(range(5), 2)]))
+
+    def test_clique_and_components_computed_once(self, monkeypatch):
+        from tokenslide import props
+
+        calls = {"clique_number": 0, "components": 0}
+        for name in calls:
+            def counting(g, _name=name, _real=getattr(props, name)):
+                calls[_name] += 1
+                return _real(g)
+
+            monkeypatch.setattr(props, name, counting)
+        analyze(build_TSk(path(10), 2))
+        assert calls == {"clique_number": 1, "components": 1}
 
     def test_invariants(self):
         for g in [complete(5), path(4), cycle(6),
