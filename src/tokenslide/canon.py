@@ -4,9 +4,13 @@ Color refinement seeded by degree, then backtracking over the refined
 cells. The certificate is (n, canonically relabeled edge tuple); equal
 certificates mean isomorphic. Search effort is capped by a node budget
 (TooLargeForIso) since highly symmetric graphs branch factorially.
+The automorphisms of the small graphs being enumerated come from a
+separate backtracking search within the refined cells.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .config import DEFAULT_ISO_BUDGET
 from .errors import TooLargeForIso
@@ -18,50 +22,53 @@ def _as_adj(g):
     return n, [g.neighbors(v) for v in range(n)]
 
 
-def _refine(n, adj, colors):
-    """Stable partition refinement by neighbor color multisets."""
+def _refine(adj, colors):
+    """Stable partition refinement by neighbor color multisets.
+
+    Each round renumbers the cells by (old color, neighbor colors) in
+    sorted order. A round that splits no cell only renumbers them densely,
+    and the round after it would change nothing, so that is the result.
+    Seeded with the degrees, it skips the round from the all-zero coloring,
+    which only renumbers the degrees densely.
+    """
+    cells = len(set(colors))
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
-                for v in range(n)]
+        get = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(get, a)))) for c, a in zip(colors, adj)]
         index = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [index[s] for s in sigs]
-        if new == colors:
+        colors = list(map(index.__getitem__, sigs))
+        if len(index) == cells:
             return colors
-        colors = new
+        cells = len(index)
 
 
-def _labeling_search(n, adj, budget):
+def _labeling_search(n, adj, masks, budget):
     """Minimum certificate over all discrete refinements, with its labeling."""
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    masks = [0] * n
-    for v in range(n):
-        for w in adj[v]:
-            masks[v] |= 1 << w
     best = [None, None]  # cert, perm
     visited = [0]
 
     def cert_of(perm):
-        return tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
-                            for u, v in edges))
+        out = []
+        for u, v in edges:
+            a, b = perm[u], perm[v]
+            out.append((a, b) if a < b else (b, a))
+        out.sort()
+        return tuple(out)
 
     def search(colors):
         visited[0] += 1
         if visited[0] > budget:
             raise TooLargeForIso(
                 f"canonical search exceeded {budget} nodes")
-        colors = _refine(n, adj, colors)
-        counts = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = None
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
+        colors = _refine(adj, colors)
+        ranks = sorted(colors)
+        # the least color held by two or more vertices, if any
+        target = next((a for a, b in zip(ranks, ranks[1:]) if a == b), None)
         if target is None:
             cert = cert_of(colors)
             if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, list(colors)
+                best[0], best[1] = cert, colors
             return
         # swapping two twins is an automorphism fixing everything else,
         # so one representative per twin class of the cell suffices
@@ -77,8 +84,35 @@ def _labeling_search(n, adj, budget):
             child[v] = 2 * target - 1
             search(child)
 
-    search([0] * n)
+    search(list(map(len, adj)))
     return (n, best[0]), best[1]
+
+
+def _automorphisms(g):
+    """Every automorphism of g, as tuples p with p[v] the image of v.
+
+    Maps the vertices in turn, each into its own refined cell (which every
+    automorphism keeps) and onto a vertex whose neighbours among the images
+    so far are the images of its own.
+    """
+    n, adj = _as_adj(g)
+    masks = g.adjacency_masks()
+    colors = _refine(adj, list(map(len, adj)))
+    perm, out = [0] * n, []
+
+    def extend(v, used):
+        if v == n:
+            out.append(tuple(perm))
+            return
+        img = sum(1 << perm[u] for u in adj[v] if u < v)
+        for w in range(n):
+            if (colors[w] == colors[v] and not used >> w & 1
+                    and masks[w] & used == img):
+                perm[v] = w
+                extend(v + 1, used | 1 << w)
+
+    extend(0, 0)
+    return out
 
 
 def canonical_labeling(g, budget=None):
@@ -86,7 +120,7 @@ def canonical_labeling(g, budget=None):
     n, adj = _as_adj(g)
     if budget is None:
         budget = DEFAULT_ISO_BUDGET
-    return _labeling_search(n, adj, budget)
+    return _labeling_search(n, adj, g.adjacency_masks(), budget)
 
 
 def canonical_form(g, budget=None):
@@ -94,13 +128,9 @@ def canonical_form(g, budget=None):
     return canonical_labeling(g, budget)[0]
 
 
-def _cheap_invariants(n, adj):
-    degs = tuple(sorted(len(a) for a in adj))
-    colors = _refine(n, adj, [0] * n)
-    hist = {}
-    for c in colors:
-        hist[c] = hist.get(c, 0) + 1
-    return degs, tuple(sorted(hist.values()))
+def _cheap_invariants(adj):
+    degs = list(map(len, adj))
+    return sorted(degs), sorted(Counter(_refine(adj, degs)).values())
 
 
 def is_isomorphic(g1, g2, budget=None):
@@ -111,22 +141,20 @@ def is_isomorphic(g1, g2, budget=None):
         return False
     if sum(map(len, a1)) != sum(map(len, a2)):
         return False
-    if _cheap_invariants(n1, a1) != _cheap_invariants(n2, a2):
+    if _cheap_invariants(a1) != _cheap_invariants(a2):
         return False
     return canonical_form(g1, budget) == canonical_form(g2, budget)
 
 
 def iso_map(g1, g2, budget=None):
     """A vertex bijection g1 -> g2 realizing an isomorphism, or None."""
-    n1, _ = _as_adj(g1)
-    n2, _ = _as_adj(g2)
-    if n1 != n2:
+    if g1.num_nodes() != g2.num_nodes():
         return None
     cert1, lab1 = canonical_labeling(g1, budget)
     cert2, lab2 = canonical_labeling(g2, budget)
     if cert1 != cert2:
         return None
-    inv2 = [0] * n2
+    inv2 = [0] * len(lab2)
     for v, p in enumerate(lab2):
         inv2[p] = v
-    return [inv2[lab1[v]] for v in range(n1)]
+    return [inv2[p] for p in lab1]

@@ -5,6 +5,9 @@ one vertex at a time (every n-vertex graph contains an (n-1)-vertex
 induced subgraph, so extending all smaller graphs by one vertex in every
 possible way and deduplicating by canonical form is exhaustive). Both
 are returned sorted by canonical certificate for reproducible order.
+A graph g is extended only by neighbourhoods least in their Aut(g)
+orbit: any other one repeats the class of a smaller mask on the same g,
+so the first graph seen of each class, its representative, is unchanged.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from functools import lru_cache
 
 import networkx as nx
 
-from .canon import canonical_form
+from .canon import _automorphisms, canonical_form
 from .errors import NTooLarge
-from .graph import Graph, make_graph
+from .graph import Graph, make_graph, members
 from .props import is_connected
 
 TREES_MAX_N = 10
@@ -33,17 +36,16 @@ def enumerate_trees(n):
     return sorted(trees, key=canonical_form)
 
 
-def _extensions(g):
-    """All graphs obtained from g by appending one vertex (any neighborhood)."""
-    n = g.n
-    out = []
-    for nbrs in range(1 << n):
-        adj = list(g._adj)
-        for v in range(n):
-            if (nbrs >> v) & 1:
-                adj[v] |= 1 << n
-        adj.append(nbrs)
-        out.append(Graph(n + 1, adj))
+def _orbit_minima(g):
+    """Neighbourhood masks of a new vertex that are least in their Aut(g)
+    orbit, ascending; masks in one orbit extend g to isomorphic graphs."""
+    auts = _automorphisms(g)
+    images, out = set(), []
+    for mask in range(1 << g.n):
+        if mask not in images:
+            out.append(mask)
+            vs = members(mask)
+            images.update(sum(1 << p[v] for v in vs) for p in auts)
     return out
 
 
@@ -53,10 +55,11 @@ def _graph_layer(n):
         return (make_graph(1, []),)
     seen = {}
     for g in _graph_layer(n - 1):
-        for h in _extensions(g):
-            cert = canonical_form(h)
-            if cert not in seen:
-                seen[cert] = h
+        for nbrs in _orbit_minima(g):
+            adj = [a | (nbrs >> v & 1) << n - 1 for v, a in enumerate(g._adj)]
+            adj.append(nbrs)
+            h = Graph(n, adj)
+            seen.setdefault(canonical_form(h), h)
     return tuple(seen[c] for c in sorted(seen))
 
 

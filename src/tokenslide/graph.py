@@ -31,6 +31,10 @@ def members(mask):
     return tuple(out)
 
 
+# members of every mask below 2^8: the neighbour rows of small graphs
+_SMALL_MEMBERS = tuple(map(members, range(1 << 8)))
+
+
 class VertexSet:
     """Immutable set of vertices of a host graph with n vertices.
 
@@ -141,7 +145,8 @@ class Graph:
         return VertexSet(self._adj[v], self.n)
 
     def neighbors(self, v):
-        return members(self._adj[v])
+        row = self._adj[v]
+        return _SMALL_MEMBERS[row] if row < 256 else members(row)
 
     def degree(self, v):
         return self._adj[v].bit_count()

@@ -1,5 +1,6 @@
 """Graph property computations: planarity, coloring, Eulerian checks,
-girth, cliques, connectivity, and isomorphism-backed canonical forms.
+girth, cliques and connectivity; the canonical forms of canon.py are
+re-exported here.
 
 All functions accept either a Graph or a LabeledGraph. Searches walk
 neighbor lists; the clique search runs the maximum-stable-set search of

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenslide import (
     add_isolated,
@@ -14,8 +17,9 @@ from tokenslide import (
     write_graph6,
 )
 from tokenslide.cli import main
+from tokenslide.searches import SEARCH_NAMES
 
-from conftest import diamond, paw
+from conftest import diamond, graphs, paw
 
 PTS_JSON = "[[0,8],[7,16],[16,9],[8,0],[5,6],[3,9]]"
 
@@ -67,6 +71,14 @@ class TestGen:
 
     def test_family_needs_n(self, capsys):
         assert run(capsys, "gen", "--family", "cycle")[0] == 2
+
+    def test_golden_stdout(self, capsys):
+        # stdout SHA-256 recorded when every extension of every smaller
+        # graph was canonised: pins the representatives and their order
+        code, out, err = run(capsys, "gen", "--connected", "7")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "3e273b09a46c808674a69b93e0a54c254d340f26cc4bb7a0464ae17f4ee44c05"
 
 
 class TestBuild:
@@ -178,6 +190,16 @@ class TestRealize:
         js = run_json(capsys, "realize", "--search",
                       write_graph6(diamond()), "--k", "2", "--max-n", "4")
         assert js == {"found": False, "max_n": 4}
+
+    def test_golden_stdout(self, capsys):
+        # the first hit depends on the enumeration order; SHA-256 recorded
+        # when every extension of every smaller graph was canonised
+        code, out, err = run(capsys, "realize", "--search",
+                             write_graph6(path(3)), "--k", "2",
+                             "--max-n", "5")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "aadef507ad4ddd41b86d49af478e348e4c2e51eec26f94f9171476e22df11e62"
 
     def test_exactly_one_mode(self, capsys):
         assert run(capsys, "realize", "--k", "2")[0] == 2
@@ -299,6 +321,19 @@ class TestSearch:
         assert code == 2
         assert "trees7" in err
 
+    # stdout SHA-256 recorded when every extension of every smaller graph
+    # was canonised
+    @pytest.mark.parametrize("name,sha", [
+        ("planar6",
+         "1031dd08d3cf563f5aa7dadce270de96d3a7257d83037d516d8e26dc5ccac106"),
+        ("trees8",
+         "d01d53f2bd625478b4a4a93802060cf6cca4e1b8a789dd2e5963c23dbba32a9b"),
+    ])
+    def test_golden_stdout(self, capsys, name, sha):
+        code, out, err = run(capsys, "search", name)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestHarness:
     def test_argparse_error_is_exit_2(self, capsys):
@@ -366,6 +401,28 @@ class TestHarness:
         assert code == 2, err
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_enumeration_commands_never_crash(self, data):
+        kind = data.draw(st.sampled_from(["gen", "realize", "search"]))
+        if kind == "gen":
+            argv = ["gen", data.draw(st.sampled_from(["--connected",
+                                                      "--trees"])),
+                    str(data.draw(st.integers(-3, 12)))]
+        elif kind == "realize":
+            target = data.draw(graphs(min_n=0, max_n=5))
+            argv = ["realize", "--search", write_graph6(target),
+                    "--k", str(data.draw(st.integers(-1, 4))),
+                    "--max-n", str(data.draw(st.integers(-1, 4)))]
+        else:
+            argv = ["search", data.draw(st.sampled_from(
+                SEARCH_NAMES + ("bogus", "", "trees9", "PLANAR6")))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     def test_json_is_key_sorted(self, capsys):
         _, out, _ = run(capsys, "analyze", "--graph6", write_graph6(path(3)))

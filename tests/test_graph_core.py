@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -299,16 +301,39 @@ class TestTreeEnumeration:
 
 
 class TestGraphEnumeration:
-    KNOWN_ALL = [1, 2, 4, 11, 34, 156]
-    KNOWN_CONNECTED = [1, 1, 2, 6, 21, 112]
+    # OEIS A000088 and A001349
+    KNOWN_ALL = [1, 2, 4, 11, 34, 156, 1044]
+    KNOWN_CONNECTED = [1, 1, 2, 6, 21, 112, 853]
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_all_counts(self, n):
         assert len(enumerate_graphs(n)) == self.KNOWN_ALL[n - 1]
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_counts(self, n):
         assert len(enumerate_connected_graphs(n)) == self.KNOWN_CONNECTED[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_automorphisms_and_orbit_minima(self, n):
+        # networkx counts the automorphisms; the orbit minima are found by
+        # trying all n! permutations
+        from tokenslide.canon import _automorphisms
+        from tokenslide.enumeration import _orbit_minima
+
+        perms = list(permutations(range(n)))
+        for g in enumerate_graphs(n):
+            nxg = to_networkx(g)
+            matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
+            assert len(_automorphisms(g)) == sum(
+                1 for _ in matcher.isomorphisms_iter())
+            edges = edge_set(g)
+            auts = [p for p in perms
+                    if {tuple(sorted((p[u], p[v]))) for u, v in edges}
+                    == edges]
+            least = [m for m in range(1 << n)
+                     if all(sum(1 << p[v] for v in range(n) if m >> v & 1)
+                            >= m for p in auts)]
+            assert _orbit_minima(g) == least
 
     def test_four_vertex_connected(self):
         # the six connected graphs on four vertices, pairwise non-isomorphic

@@ -1,4 +1,5 @@
-from itertools import combinations, product
+import hashlib
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
@@ -525,6 +526,84 @@ class TestPlanarity:
             assert not is_planar(build_TS(g))[0]
 
 
+# canon._refine and canon._labeling_search as they were before the
+# refinement was made cheaper: canonical_labeling must equal this exactly
+
+def reference_refine(n, adj, colors):
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
+                for v in range(n)]
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [index[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_labeling(g):
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    masks = [0] * n
+    for v in range(n):
+        for w in adj[v]:
+            masks[v] |= 1 << w
+    best = [None, None]
+
+    def cert_of(perm):
+        return tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                            for u, v in edges))
+
+    def search(colors):
+        colors = reference_refine(n, adj, colors)
+        counts = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = None
+        for c in sorted(counts):
+            if counts[c] > 1:
+                target = c
+                break
+        if target is None:
+            cert = cert_of(colors)
+            if best[0] is None or cert < best[0]:
+                best[0], best[1] = cert, list(colors)
+            return
+        tried = []
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            if any(masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
+                   for u in tried):
+                continue
+            tried.append(v)
+            child = [2 * c for c in colors]
+            child[v] = 2 * target - 1
+            search(child)
+
+    search([0] * n)
+    return (n, best[0]), best[1]
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Twin-heavy and regular graphs under a random vertex order."""
+    kind = draw(st.sampled_from(["bipartite", "cliques", "cycle",
+                                 "petersen"]))
+    if kind == "bipartite":
+        g = complete_bipartite(draw(st.integers(1, 4)),
+                               draw(st.integers(1, 4)))
+    elif kind == "cliques":
+        g = complete(draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3))):
+            g = disjoint_union(g, complete(draw(st.integers(1, 3))))
+    elif kind == "cycle":
+        g = cycle(draw(st.integers(3, 9)))
+    else:
+        g = petersen()
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
 class TestIsomorphism:
     @given(graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -560,6 +639,25 @@ class TestIsomorphism:
         g = disjoint_union(complete_bipartite(8, 8), complete_bipartite(8, 8))
         with pytest.raises(TooLargeForIso):
             canonical_labeling(g, budget=10)
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_labeling_matches_reference(self, g):
+        assert canonical_labeling(g) == reference_labeling(g)
+
+    @given(symmetric_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_labeling_matches_reference_on_symmetric_graphs(self, g):
+        assert canonical_labeling(g) == reference_labeling(g)
+
+    def test_labelings_of_all_small_graphs(self):
+        # SHA-256 recorded before the refinement was made cheaper
+        h = hashlib.sha256()
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                h.update(repr(canonical_labeling(g)).encode())
+        assert h.hexdigest() == \
+            "d082f8c68f7a4f860c202531b0cf494c3a6f205f2381c942ebe3ebb6a101f795"
 
 
 class TestAnalyze:
