@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from itertools import chain
 
 from .decompose import decompose_join, join_spec_from_json
 from .enumeration import enumerate_connected_graphs, enumerate_trees
@@ -41,7 +42,57 @@ FAMILIES = {
 
 
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_dumps(obj))
+
+
+def _dumps(obj):
+    """Exactly json.dumps(obj, sort_keys=True, indent=2), faster.
+
+    With indent set, json falls back to its pure-Python encoder. Here
+    lists of ints and lists of such lists are written with str.join;
+    every other scalar, and dicts with non-string keys, go to json.dumps.
+    Only exact ints qualify: bool and int subclasses print differently.
+    """
+    out = []
+    _encode(obj, "\n", out.append)
+    return "".join(out)
+
+
+def _encode(obj, nl, write):
+    # nl is a newline plus the indentation of the line obj starts on
+    inner = nl + "  "
+    if type(obj) is list and obj:
+        types = set(map(type, obj))
+        if types == {int}:
+            write(_int_list(obj, nl))
+        elif types == {list} and {int} >= set(
+                map(type, chain.from_iterable(obj))):
+            write("[" + inner + ("," + inner).join(
+                [_int_list(row, inner) for row in obj]) + nl + "]")
+        else:
+            sep = "["
+            for x in obj:
+                write(sep + inner)
+                sep = ","
+                _encode(x, inner, write)
+            write(nl + "]")
+    elif type(obj) is dict and obj and all(type(k) is str for k in obj):
+        sep = "{"
+        for k in sorted(obj):
+            write(sep + inner + json.dumps(k) + ": ")
+            sep = ","
+            _encode(obj[k], inner, write)
+        write(nl + "}")
+    else:
+        write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _int_list(ints, nl):
+    """The indented text of a list of exact ints."""
+    if not ints:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(str, ints)) + nl + "]"
 
 
 def _load_json_file(path):
@@ -261,7 +312,7 @@ def _cmd_geom(args):
         else:
             a = alpha(crossing)
             ts = build_TSk(crossing, a)
-            ok = ([l.mask for l in fg.labels] == [l.mask for l in ts.labels]
+            ok = (fg.label_masks() == ts.label_masks()
                   and fg.edges() == ts.edges())
         out["ts_iso"] = {"isomorphic": ok, "alpha": a,
                          "triangulations": fg.num_nodes()}

@@ -35,7 +35,7 @@ class JoinSpec:
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         for name, g in (("G1", self.g1), ("G2", self.g2)):
-            if not independent_sets_of_size(g, self.k).members:
+            if not independent_sets_of_size(g, self.k):
                 raise NoStableSetOfSizeK(
                     f"{name} has no stable set of size {self.k}")
 
@@ -90,24 +90,21 @@ def product(a, b):
         base = disjoint_union(a.base, b.base)
         lift_a = [VertexSet(la.mask, base.n) for la in a.labels]
         lift_b = [VertexSet(lb.mask << off, base.n) for lb in b.labels]
-    na, nb = a.num_nodes(), b.num_nodes()
-    labels = []
-    for i in range(na):
+    nb = b.num_nodes()
+    labels = tuple((la, lb) for la in lift_a for lb in lift_b)
+    # node (i, j) is i * nb + j, so its sorted row holds the left factor's
+    # moves to i2 < i, then the right factor's moves, then those to i2 > i
+    adj = []
+    for i in range(a.num_nodes()):
+        row_a = a.neighbors(i)
         for j in range(nb):
-            labels.append((lift_a[i], lift_b[j]))
-    adj = [[] for _ in range(na * nb)]
-    for i, i2 in a.edges():
-        for j in range(nb):
-            u, v = i * nb + j, i2 * nb + j
-            adj[u].append(v)
-            adj[v].append(u)
-    for j, j2 in b.edges():
-        for i in range(na):
-            u, v = i * nb + j, i * nb + j2
-            adj[u].append(v)
-            adj[v].append(u)
+            adj.append(tuple(
+                [i2 * nb + j for i2 in row_a if i2 < i]
+                + [i * nb + j2 for j2 in b.neighbors(j)]
+                + [i2 * nb + j for i2 in row_a if i2 > i]))
     k = (a.k + b.k) if (a.k is not None and b.k is not None) else None
-    return LabeledGraph("Product", base, labels, adj, k=k)
+    return LabeledGraph._unchecked("Product", base, tuple(adj), k=k,
+                                   labels=labels)
 
 
 def _product_mask_edges(fa, fb):
@@ -187,11 +184,12 @@ def decompose_join(spec):
     # s = k: all tokens on G1; s = 0: all on G2
     for s_val, rng in ((k, g1_mask), (0, g2_mask)):
         ts = build_TSk_induced(g, k, VertexSet(rng, g.n))
-        part_masks.append([l.mask for l in ts.labels])
-        provenances.append(["left" if s_val == k else "right"] * len(ts.labels))
+        masks = ts.label_masks()
+        part_masks.append(masks)
+        provenances.append(["left" if s_val == k else "right"] * len(masks))
         edges = set()
         for i, j in ts.edges():
-            a, b = ts.labels[i].mask, ts.labels[j].mask
+            a, b = masks[i], masks[j]
             edges.add((min(a, b), max(a, b)))
         product_edge_sets.append(edges)
 
@@ -223,12 +221,13 @@ def decompose_join(spec):
             if m in claimed:
                 raise RuntimeError("part node sets overlap")
             claimed[m] = t
-    for lab in full.labels:
-        s = (lab.mask & g1_mask).bit_count()
+    full_masks = full.label_masks()
+    for m in full_masks:
+        s = (m & g1_mask).bit_count()
         expect = 0 if s == k else 1 if s == 0 else 2 + (s - 1)
-        if claimed.get(lab.mask) != expect:
+        if claimed.get(m) != expect:
             raise RuntimeError(
-                f"node {lab} not classified into its s-part")
+                f"node {VertexSet(m, g.n)} not classified into its s-part")
     if len(claimed) != full.num_nodes():
         raise RuntimeError("parts do not cover the slide graph")
 
@@ -237,24 +236,26 @@ def decompose_join(spec):
     extra_within = []
     product_local = []
     part_of = [0] * full.num_nodes()
+    full_pos = {m: i for i, m in enumerate(full_masks)}
     for t, masks in enumerate(part_masks):
         pos = {m: i for i, m in enumerate(masks)}
-        full_idx = [full.index_of(VertexSet(m, g.n)) for m in masks]
-        for fi in full_idx:
-            part_of[fi] = t
-        adj = [[] for _ in masks]
+        adj = []
         induced = set()
         for i, m in enumerate(masks):
-            fi = full_idx[i]
+            fi = full_pos[m]
+            part_of[fi] = t
+            row = []
             for fj in full.neighbors(fi):
-                mj = full.label(fj).mask
+                mj = full_masks[fj]
                 j = pos.get(mj)
-                if j is not None and j > i:
-                    adj[i].append(j)
-                    adj[j].append(i)
-                    induced.add((min(m, mj), max(m, mj)))
-        labels = [VertexSet(m, g.n) for m in masks]
-        parts.append(LabeledGraph("TSk", g, labels, adj, k=k))
+                if j is not None:
+                    row.append(j)
+                    if j > i:
+                        induced.add((min(m, mj), max(m, mj)))
+            row.sort()
+            adj.append(tuple(row))
+        parts.append(LabeledGraph._unchecked("TSk", g, tuple(adj), k=k,
+                                             masks=tuple(masks)))
         prod = product_edge_sets[t]
         if not prod <= induced:
             raise RuntimeError("product rule produced a non-slide edge")

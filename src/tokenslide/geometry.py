@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import (DegenerateSegment, GeneralPositionViolated, InputError,
                      TooFewPoints, TooManyPoints)
-from .graph import Graph, VertexSet, make_graph, members
+from .graph import Graph, make_graph, members
 from .reconf import LabeledGraph
 
 COORD_BOUND = 10 ** 6
@@ -216,16 +216,16 @@ def flip_graph(points):
     TS_alpha of the crossing graph is label-for-label.
     """
     sg, stables = _crossing_stables(points, "flip graph")
-    stables = sorted(stables, key=members)
-    labels = [VertexSet(m, sg.graph.n) for m in stables]
+    stables = tuple(sorted(stables, key=members))
     adj = [[] for _ in stables]
     for i in range(len(stables)):
         for j in range(i + 1, len(stables)):
             if (stables[i] ^ stables[j]).bit_count() == 2:
                 adj[i].append(j)
                 adj[j].append(i)
-    return LabeledGraph("Flip", sg.graph, labels, adj,
-                        k=stables[0].bit_count())
+    # rows are sorted: each gets its smaller partners first, in order
+    return LabeledGraph._unchecked("Flip", sg.graph, tuple(map(tuple, adj)),
+                                   k=stables[0].bit_count(), masks=stables)
 
 
 # ---------------------------------------------------------------------------

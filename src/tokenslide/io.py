@@ -8,7 +8,7 @@ sorted lexicographically.
 from __future__ import annotations
 
 from .errors import MalformedGraph6, NExceedsWidth
-from .graph import WIDTH_MAX, Graph, make_graph
+from .graph import WIDTH_MAX, Graph, VertexSet, make_graph, members
 
 
 def write_graph6(g):
@@ -121,11 +121,42 @@ def format_label(vs):
     return "-".join(str(v) for v in members)
 
 
+def _label_formatter(n):
+    """format_label over a host with n vertices, as a function of the mask.
+
+    The texts of the low and the high half of a mask are memoised in one
+    dict per call, so a family of sets costs two lookups per set.
+    """
+    sep = "" if n <= 9 else "-"
+    low_bits = (1 << n // 2) - 1
+    texts = {}
+
+    def piece(part):
+        text = texts.get(part)
+        if text is None:
+            text = texts[part] = format_label(VertexSet(part, n))
+        return text
+
+    def fmt(mask):
+        a, b = piece(mask & low_bits), piece(mask & ~low_bits)
+        return a + sep + b if a and b else a or b
+
+    return fmt
+
+
 def _node_label(lab):
     # composite product labels are (left, right) pairs
     if isinstance(lab, tuple):
         return format_label(lab[0]) + "|" + format_label(lab[1])
     return format_label(lab)
+
+
+def _node_labels(lg):
+    """Display text of every node label of a LabeledGraph."""
+    masks = lg.label_masks()
+    if masks is not None:
+        return map(_label_formatter(lg.base.n), masks)
+    return map(_node_label, lg.labels)
 
 
 def export_dot(g, graph_name="G"):
@@ -139,24 +170,27 @@ def export_dot(g, graph_name="G"):
         for u, v in g.edges():
             lines.append(f"  v{u} -- v{v};")
     else:
-        for i in range(g.num_nodes()):
-            lines.append(f'  n{i} [label="{_node_label(g.labels[i])}"];')
-        for i, j in g.edges():
-            lines.append(f"  n{i} -- n{j};")
+        lines += [f'  n{i} [label="{text}"];'
+                  for i, text in enumerate(_node_labels(g))]
+        lines += [f"  n{i} -- n{j};" for i in range(g.num_nodes())
+                  for j in g.neighbors(i) if j > i]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def labeled_to_json(lg):
     """LabeledGraph JSON: kind, base, node label arrays, edge index pairs."""
-    def label_json(lab):
-        if isinstance(lab, tuple):
-            return [list(lab[0].members()), list(lab[1].members())]
-        return list(lab.members())
-
+    masks = lg.label_masks()
+    if masks is not None:
+        nodes = [list(members(m)) for m in masks]
+    else:
+        nodes = [[list(lab[0].members()), list(lab[1].members())]
+                 if isinstance(lab, tuple) else list(lab.members())
+                 for lab in lg.labels]
     return {
         "kind": lg.kind,
         "base": graph_to_json(lg.base) if lg.base is not None else None,
-        "nodes": [label_json(lab) for lab in lg.labels],
-        "edges": [[i, j] for i, j in lg.edges()],
+        "nodes": nodes,
+        "edges": [[i, j] for i in range(lg.num_nodes())
+                  for j in lg.neighbors(i) if j > i],
     }

@@ -12,7 +12,7 @@ from math import comb
 
 from .config import node_budget
 from .errors import ExplosionCap, IndexOutOfRange
-from .graph import Graph, VertexSet, _as_vset, induced_subgraph, members
+from .graph import VertexSet, _as_vset, induced_subgraph, members
 from .stable import all_independent_sets, cliques_of_size, independent_sets_of_size
 
 KINDS = ("TSk", "TS", "Lk", "Fk", "Flip", "Product", "Abstract")
@@ -22,54 +22,58 @@ class LabeledGraph:
     """A graph whose nodes are labeled vertex sets of a base graph.
 
     Product nodes carry composite labels: ordered (left, right) pairs of
-    VertexSet. Adjacency is symmetric and loopless; labels are distinct.
+    VertexSet. Adjacency rows are sorted, symmetric and loopless; labels
+    are distinct. The public constructor checks all of this
+    (check_labeled_graph); the package's own builders use _unchecked.
     """
 
-    __slots__ = ("kind", "base", "labels", "_adj", "k", "_layers", "_index")
+    __slots__ = ("kind", "base", "_labels", "_masks", "_adj", "k", "_layers",
+                 "_index")
 
     def __init__(self, kind, base, labels, adj, k=None, layers=None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
-        labels = tuple(labels)
-        adj = tuple(tuple(sorted(row)) for row in adj)
-        if len(adj) != len(labels):
-            raise ValueError("adjacency size does not match label count")
-        index = {}
-        for i, lab in enumerate(labels):
-            key = lab if not isinstance(lab, tuple) else (lab[0], lab[1])
-            if key in index:
-                raise ValueError(f"duplicate node label {lab}")
-            index[key] = i
-        m = len(labels)
-        for i, row in enumerate(adj):
-            for j in row:
-                if j == i:
-                    raise ValueError(f"loop at node {i}")
-                if not 0 <= j < m or i not in adj[j]:
-                    raise ValueError(f"asymmetric adjacency at ({i},{j})")
-        if kind == "TSk" and base is not None:
-            for lab in labels:
-                if len(lab) != k:
-                    raise ValueError(f"label {lab} does not have size {k}")
-                for v in lab.members():
-                    if base.adjacency_mask(v) & lab.mask:
-                        raise ValueError(f"label {lab} is not independent")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_layers", layers)
-        object.__setattr__(self, "_index", index)
+        _fill(self, kind, base, tuple(labels), None,
+              tuple(tuple(sorted(row)) for row in adj), k, layers)
+        check_labeled_graph(self)
+
+    @classmethod
+    def _unchecked(cls, kind, base, adj, k=None, layers=None, masks=None,
+                   labels=None):
+        """A builder's output, taken as it is: adj a tuple of sorted
+        tuples, and either set labels as masks over base's vertices or
+        the labels themselves."""
+        lg = object.__new__(cls)
+        _fill(lg, kind, base, labels, masks, adj, k, layers)
+        return lg
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGraph is immutable")
 
+    @property
+    def labels(self):
+        """Node labels; VertexSet objects are made on first access."""
+        if self._labels is None:
+            n = self.base.n
+            object.__setattr__(self, "_labels",
+                               tuple(VertexSet(m, n) for m in self._masks))
+        return self._labels
+
+    def label_masks(self):
+        """Node labels as bit masks over the base, or None for labels
+        that are not vertex sets of the base (product pairs)."""
+        if self._masks is None:
+            n = None if self.base is None else self.base.n
+            if not all(isinstance(lab, VertexSet) and lab.n == n
+                       for lab in self._labels):
+                return None
+            object.__setattr__(self, "_masks",
+                               tuple(lab.mask for lab in self._labels))
+        return self._masks
+
     def num_nodes(self):
-        return len(self.labels)
+        return len(self._adj)
 
     def num_edges(self):
-        return sum(len(r) for r in self._adj) // 2
+        return sum(map(len, self._adj)) // 2
 
     def edges(self):
         return [(i, j) for i in range(len(self._adj))
@@ -84,12 +88,18 @@ class LabeledGraph:
     def label(self, i):
         return self.labels[i]
 
+    def _label_index(self):
+        if self._index is None:
+            object.__setattr__(self, "_index", {
+                lab: i for i, lab in enumerate(self.labels)})
+        return self._index
+
     def index_of(self, label):
         """Node index of a label; raises KeyError if absent."""
-        return self._index[label]
+        return self._label_index()[label]
 
     def has_node(self, label):
-        return label in self._index
+        return label in self._label_index()
 
     def layer(self, k):
         """Node indices of the size-k layer (TS graphs only)."""
@@ -115,73 +125,116 @@ class LabeledGraph:
                 f"edges={self.num_edges()})")
 
 
-def _slide_edges(g, masks, index):
-    """Adjacency rows under the token-slide rule, membership via index."""
+def _fill(lg, kind, base, labels, masks, adj, k, layers):
+    for name, value in (("kind", kind), ("base", base), ("_labels", labels),
+                        ("_masks", masks), ("_adj", adj), ("k", k),
+                        ("_layers", layers), ("_index", None)):
+        object.__setattr__(lg, name, value)
+
+
+def check_labeled_graph(lg):
+    """Raise ValueError unless lg is well formed.
+
+    Checks the kind, one sorted, loopless, symmetric adjacency row per
+    label, distinct labels, and for TSk that every label is an
+    independent set of size k of the base.
+    """
+    if lg.kind not in KINDS:
+        raise ValueError(f"unknown kind {lg.kind!r}")
+    labels, adj = lg.labels, lg._adj
+    if len(adj) != len(labels):
+        raise ValueError("adjacency size does not match label count")
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            raise ValueError(f"duplicate node label {lab}")
+        seen.add(lab)
+    m = len(labels)
+    for i, row in enumerate(adj):
+        if list(row) != sorted(row):
+            raise ValueError(f"adjacency row {i} is not sorted")
+        for j in row:
+            if j == i:
+                raise ValueError(f"loop at node {i}")
+            if not 0 <= j < m or i not in adj[j]:
+                raise ValueError(f"asymmetric adjacency at ({i},{j})")
+    if lg.kind == "TSk" and lg.base is not None:
+        for lab in labels:
+            if len(lab) != lg.k:
+                raise ValueError(f"label {lab} does not have size {lg.k}")
+            for v in lab.members():
+                if lg.base.adjacency_mask(v) & lab.mask:
+                    raise ValueError(f"label {lab} is not independent")
+
+
+def _slide_edges(g, masks):
+    """Sorted adjacency rows under the token-slide rule."""
+    index = {m: i for i, m in enumerate(masks)}.get
     # nbrs[u]: the neighbour bits of base vertex u, one int each
     nbrs = [[1 << v for v in g.neighbors(u)] for u in range(g.n)]
-    adj = [[] for _ in masks]
-    for i, m in enumerate(masks):
+    adj = []
+    for m in masks:
+        row = []
         for u in members(m):
             rest = m ^ 1 << u
             for bv in nbrs[u]:
                 if not m & bv:
-                    j = index.get(rest | bv)
-                    if j is not None and j > i:
-                        adj[i].append(j)
-                        adj[j].append(i)
-    return adj
+                    j = index(rest | bv)
+                    if j is not None:
+                        row.append(j)
+        row.sort()
+        adj.append(tuple(row))
+    return tuple(adj)
 
 
 def build_TSk(g, k, budget=None):
     """TS_k(g): size-k independent sets, adjacent iff one token slides."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    fam = independent_sets_of_size(g, k, budget)
-    masks = fam.masks()
-    index = {m: i for i, m in enumerate(masks)}
-    adj = _slide_edges(g, masks, index)
-    return LabeledGraph("TSk", g, fam.members, adj, k=k)
+    masks = independent_sets_of_size(g, k, budget).masks()
+    return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
+                                   masks=masks)
 
 
 def build_TS(g, budget=None):
     """TS(g): all non-empty independent sets; disjoint union of TS_k layers."""
-    fam = all_independent_sets(g, budget)
-    masks = fam.masks()
-    index = {m: i for i, m in enumerate(masks)}
-    adj = _slide_edges(g, masks, index)
+    masks = all_independent_sets(g, budget).masks()
     layers = {}
     for i, m in enumerate(masks):
         layers.setdefault(m.bit_count(), []).append(i)
     layers = {k: tuple(v) for k, v in layers.items()}
-    return LabeledGraph("TS", g, fam.members, adj, k=None, layers=layers)
+    return LabeledGraph._unchecked("TS", g, _slide_edges(g, masks),
+                                   layers=layers, masks=masks)
 
 
 def build_Lk(g, k, budget=None):
     """L_k(g): size-k cliques, adjacent iff they share k-1 vertices."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    fam = cliques_of_size(g, k, budget)
-    masks = fam.masks()
+    masks = cliques_of_size(g, k, budget).masks()
     if k == 1:
         # the k=1 rule ("share zero vertices") makes L_1 complete; the
         # common-neighbor rule below would wrongly demand adjacency
         n = len(masks)
-        adj = [[j for j in range(n) if j != i] for i in range(n)]
+        adj = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
     else:
-        index = {m: i for i, m in enumerate(masks)}
-        adj = [[] for _ in masks]
-        for i, m in enumerate(masks):
+        index = {m: i for i, m in enumerate(masks)}.get
+        adj = []
+        for m in masks:
+            row = []
             for u in members(m):
                 others = m ^ 1 << u
                 cand = ~m  # k >= 2: others is not empty, so cand ends >= 0
                 for w in members(others):
                     cand &= g.adjacency_mask(w)
                 for v in members(cand):
-                    j = index.get(others | 1 << v)
-                    if j is not None and j > i:
-                        adj[i].append(j)
-                        adj[j].append(i)
-    return LabeledGraph("Lk", g, fam.members, adj, k=k)
+                    j = index(others | 1 << v)
+                    if j is not None:
+                        row.append(j)
+            row.sort()
+            adj.append(tuple(row))
+        adj = tuple(adj)
+    return LabeledGraph._unchecked("Lk", g, adj, k=k, masks=masks)
 
 
 def build_Fk(g, k, budget=None):
@@ -198,10 +251,9 @@ def build_Fk(g, k, budget=None):
         for v in tup:
             m |= 1 << v
         masks.append(m)
-    index = {m: i for i, m in enumerate(masks)}
-    adj = _slide_edges(g, masks, index)
-    labels = tuple(VertexSet(m, g.n) for m in masks)
-    return LabeledGraph("Fk", g, labels, adj, k=k)
+    masks = tuple(masks)
+    return LabeledGraph._unchecked("Fk", g, _slide_edges(g, masks), k=k,
+                                   masks=masks)
 
 
 def build_TSk_induced(g, k, vertices, budget=None):
@@ -210,10 +262,11 @@ def build_TSk_induced(g, k, vertices, budget=None):
     keep = vs.members()
     sub = induced_subgraph(g, vs)
     ts = build_TSk(sub, k, budget)
-    labels = []
-    for lab in ts.labels:
-        m = 0
-        for v in lab.members():
-            m |= 1 << keep[v]
-        labels.append(VertexSet(m, g.n))
-    return LabeledGraph("TSk", g, labels, ts._adj, k=k)
+    masks = []
+    for m in ts.label_masks():
+        lifted = 0
+        for v in members(m):
+            lifted |= 1 << keep[v]
+        masks.append(lifted)
+    return LabeledGraph._unchecked("TSk", g, ts._adj, k=k,
+                                   masks=tuple(masks))

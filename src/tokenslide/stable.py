@@ -11,6 +11,7 @@ lexicographic order on tuples like (0,2,4) < (0,2,5) < (0,3,4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .config import node_budget
@@ -20,17 +21,25 @@ from .graph import Graph, VertexSet, _as_vset, complement, members
 
 @dataclass(frozen=True)
 class StableSetFamily:
-    """An ordered family of independent sets of one host graph."""
+    """An ordered family of independent sets of one host graph.
+
+    Held as bit masks; `members` makes the VertexSet tuple on first use.
+    """
 
     host: Graph
     k: object  # a size, or the string "all"
-    members: tuple
+    _masks: tuple
+
+    @cached_property
+    def members(self):
+        n = self.host.n
+        return tuple(VertexSet(m, n) for m in self._masks)
 
     def __iter__(self):
         return iter(self.members)
 
     def __len__(self):
-        return len(self.members)
+        return len(self._masks)
 
     def __getitem__(self, i):
         return self.members[i]
@@ -39,10 +48,10 @@ class StableSetFamily:
         return vs in set(self.members)
 
     def masks(self):
-        return tuple(m.mask for m in self.members)
+        return self._masks
 
     def to_json(self):
-        return [list(m.members()) for m in self.members]
+        return [list(members(m)) for m in self._masks]
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ def independent_sets_of_size(g, k, budget=None):
         raise ValueError(f"k must be >= 1, got {k}")
     cap = node_budget(budget)
     masks = _enumerate_stable_masks(g._adj, g.n, k, cap, [])
-    return StableSetFamily(g, k, tuple(VertexSet(m, g.n) for m in masks))
+    return StableSetFamily(g, k, tuple(masks))
 
 
 def all_independent_sets(g, budget=None):
@@ -101,7 +110,7 @@ def all_independent_sets(g, budget=None):
         _enumerate_stable_masks(g._adj, g.n, k, cap, masks)
         if len(masks) == before:
             break  # no stable set of size k, so none larger either
-    return StableSetFamily(g, "all", tuple(VertexSet(m, g.n) for m in masks))
+    return StableSetFamily(g, "all", tuple(masks))
 
 
 def _max_stable_in_masks(n, masks, stop_at=None):
@@ -149,7 +158,7 @@ def cliques_of_size(g, k, budget=None):
     cap = node_budget(budget)
     co = complement(g)
     masks = _enumerate_stable_masks(co._adj, g.n, k, cap, [])
-    return StableSetFamily(g, k, tuple(VertexSet(m, g.n) for m in masks))
+    return StableSetFamily(g, k, tuple(masks))
 
 
 def _split_certificate(g):

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
@@ -127,6 +127,34 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--graph6", g6, "--k", "2")
         assert code == 3
         assert "resource cap:" in err
+
+    # stdout SHA-256 recorded while LabeledGraph re-checked every builder's
+    # output and _emit called json.dumps; C_8 labels are concatenated
+    # digits, P_11 labels are dash-separated
+    @pytest.mark.parametrize("graph,mode,fmt,sha", [
+        (cycle(8), ["--k", "3"], "json",
+         "55fc0b9d04b9079cb4f509129447ffd382b4ad7ac8194f00cef610111a54f321"),
+        (cycle(8), ["--all"], "json",
+         "2bf18d83293e3e73b6cd2ee3c08fd9ba9dcad360b85269e7a5055cec3984dcd6"),
+        (cycle(8), ["--k", "3"], "dot",
+         "7ccfe5be1c9a8dbda1e5bcac72c78d9423cdc3dd1368ecf2e7ee44848acaf353"),
+        (cycle(8), ["--all"], "dot",
+         "decc5e00e8ab4349c2779860824141e10e1008bebd051af3aa73573593d3efab"),
+        (path(11), ["--k", "3"], "json",
+         "38f021e25758622c927edb5a638eb56d656fbe640343ad59367b95914bd111d9"),
+        (path(11), ["--all"], "json",
+         "cce5b51db7ad005563825b84b4de75e0543bd15891feef1cdc4d7132e4064961"),
+        (path(11), ["--k", "3"], "dot",
+         "513be9283a6af07ec606641f56fc5a99e4217fd02dea66f0d831dd5387ac4ab2"),
+        (path(11), ["--all"], "dot",
+         "967ecd72662680e1b3a3a57a16d99f87b5a8d2eed45d9ea1ee356ac42d676710"),
+    ], ids=["C8-k3-json", "C8-all-json", "C8-k3-dot", "C8-all-dot",
+            "P11-k3-json", "P11-all-json", "P11-k3-dot", "P11-all-dot"])
+    def test_golden_stdout(self, capsys, graph, mode, fmt, sha):
+        code, out, err = run(capsys, "build", "--graph6", write_graph6(graph),
+                             *mode, "--format", fmt)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestAnalyze:
@@ -421,6 +449,64 @@ class TestHarness:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    # JSON values a graph file may hold: well-formed graphs, and every
+    # kind of wrong type, size or shape in their place; n stays <= 9, as
+    # analyze --ts-all of the edgeless graph on 12 vertices takes seconds
+    _json_atoms = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                            st.floats(allow_nan=True), st.text(max_size=3))
+    _json_graphs = st.one_of(
+        st.builds(lambda g, named: {
+            "n": g.n, "edges": [list(e) for e in g.edges()],
+            "names": [f"v{i}" for i in range(g.n)] if named else None},
+            graphs(min_n=0, max_n=7), st.booleans()),
+        st.fixed_dictionaries(
+            {"n": st.one_of(st.integers(-3, 9), _json_atoms),
+             "edges": st.one_of(
+                 st.lists(st.lists(st.one_of(st.integers(-2, 9),
+                                             _json_atoms), max_size=3),
+                          max_size=6),
+                 _json_atoms)},
+            optional={"names": st.one_of(
+                st.lists(_json_atoms, max_size=12), _json_atoms)}),
+        st.recursive(_json_atoms, lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.sampled_from(["n", "edges", "names", "x"]),
+                            inner, max_size=3)), max_leaves=6))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_build_and_analyze_never_crash(self, data, tmp_path):
+        command = data.draw(st.sampled_from(["build", "analyze"]))
+        source = data.draw(st.sampled_from(["graph6", "json", "text"]))
+        if source == "graph6":
+            argv = ["--graph6", write_graph6(data.draw(graphs(0, 9)))]
+        elif source == "text":
+            # mostly malformed graph6; short enough to stay at n <= 9
+            argv = ["--graph6", data.draw(st.text(
+                alphabet=st.characters(min_codepoint=32, max_codepoint=130),
+                min_size=1, max_size=8))]
+        else:
+            graph_file = tmp_path / "g.json"
+            graph_file.write_text(json.dumps(data.draw(self._json_graphs)))
+            argv = ["--json", str(graph_file)]
+        k = data.draw(st.one_of(st.none(), st.integers(-2, 5)))
+        every = data.draw(st.booleans())
+        if command == "build":
+            argv += [] if k is None else ["--k", str(k)]
+            argv += ["--all"] if every else []
+            argv += data.draw(st.sampled_from(
+                [[], ["--format", "json"], ["--format", "dot"],
+                 ["--format", "xml"]]))
+        else:
+            argv += [] if k is None else ["--ts", str(k)]
+            argv += ["--ts-all"] if every else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *argv])
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
 

@@ -324,3 +324,47 @@ class TestLabeledJson:
         assert len(js["nodes"]) == ts.num_nodes()
         assert len(js["edges"]) == ts.num_edges()
         assert all(a < b for a, b in js["edges"])
+
+
+class TestBuilderInvariants:
+    """The builders skip LabeledGraph's checks; their output passes them."""
+
+    def test_every_builder_output_is_well_formed(self):
+        from tokenslide import (JoinSpec, NoStableSetOfSizeK, decompose_join,
+                                enumerate_graphs, flip_graph)
+        from tokenslide.decompose import product
+        from tokenslide.reconf import check_labeled_graph
+
+        built = []
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                built.append(build_TS(g))
+                for k in range(1, 4):
+                    built += [build_TSk(g, k), build_Lk(g, k),
+                              build_TSk_induced(g, k, range(1, n))]
+                    if k <= n:
+                        built.append(build_Fk(g, k))
+        # distinct bases, and one base with disjoint label ranges
+        built.append(product(build_TSk(path(4), 2), build_TSk(cycle(5), 2)))
+        built.append(product(build_TSk_induced(path(6), 1, range(3)),
+                             build_TSk_induced(path(6), 2, range(3, 6))))
+        for g1 in enumerate_graphs(3):
+            for g2 in enumerate_graphs(4):
+                try:
+                    dec = decompose_join(JoinSpec(g1, g2, [0, 2], [1], 2))
+                except NoStableSetOfSizeK:
+                    continue
+                built += [dec.full, *dec.parts]
+        built.append(flip_graph([(x, x * x) for x in range(6)]))  # convex
+        assert built[-1].num_nodes() == 14  # Catalan(4)
+        for lg in built:
+            check_labeled_graph(lg)
+
+    def test_check_rejects_an_unsorted_row(self):
+        from tokenslide.reconf import check_labeled_graph
+
+        base = make_graph(3, [])
+        lg = LabeledGraph._unchecked("Abstract", base, ((2, 1), (0,), (0,)),
+                                     masks=(1, 2, 4))
+        with pytest.raises(ValueError, match="not sorted"):
+            check_labeled_graph(lg)
