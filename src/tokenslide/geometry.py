@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import (DegenerateSegment, GeneralPositionViolated, InputError,
                      TooFewPoints, TooManyPoints)
 from .graph import Graph, make_graph, members
-from .reconf import LabeledGraph
+from .reconf import LabeledGraph, _swap_edges
 
 COORD_BOUND = 10 ** 6
 POINTS_MAX = 10
@@ -213,18 +213,16 @@ def flip_graph(points):
 
     Labels are the crossing-part stable sets, ordered exactly as the
     slide-graph builder orders them, so the correspondence with
-    TS_alpha of the crossing graph is label-for-label.
+    TS_alpha of the crossing graph is label-for-label. A flip swaps one
+    diagonal for another, so edges come from _swap_edges and not from
+    slides along the crossing graph: that the two diagonals of every flip
+    cross is what the correspondence claims, and geom --check-ts-iso
+    would check nothing if the flip graph assumed it.
     """
     sg, stables = _crossing_stables(points, "flip graph")
     stables = tuple(sorted(stables, key=members))
-    adj = [[] for _ in stables]
-    for i in range(len(stables)):
-        for j in range(i + 1, len(stables)):
-            if (stables[i] ^ stables[j]).bit_count() == 2:
-                adj[i].append(j)
-                adj[j].append(i)
-    # rows are sorted: each gets its smaller partners first, in order
-    return LabeledGraph._unchecked("Flip", sg.graph, tuple(map(tuple, adj)),
+    return LabeledGraph._unchecked("Flip", sg.graph,
+                                   _swap_edges(sg.graph.n, stables),
                                    k=stables[0].bit_count(), masks=stables)
 
 

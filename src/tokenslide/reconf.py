@@ -1,8 +1,12 @@
 """Reconfiguration-graph builders: TS_k, TS, L_k, and the token graph F_k.
 
-Nodes carry labels (vertex sets of the base graph). Edges are found by
-scanning each node's single-swap neighbors and checking membership in
-the node index, which is O(nodes * k * degree) instead of all pairs.
+Nodes carry labels (vertex sets of the base graph). Every builder's edges
+are single-token moves, found by _slide_edges: it moves each token of a
+node along each edge of a graph and looks the result up in the node
+index, which is O(nodes * k * degree) instead of all pairs. TS_k, TS and
+F_k slide along the base graph; L_k (and geometry's flip graph) swap one
+element for any other, which is a slide along the complete graph
+(_swap_edges).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from math import comb
 
 from .config import node_budget
 from .errors import ExplosionCap, IndexOutOfRange
-from .graph import VertexSet, _as_vset, induced_subgraph, members
+from .graph import VertexSet, _as_vset, induced_subgraph, make_graph, members
 from .stable import all_independent_sets, cliques_of_size, independent_sets_of_size
 
 KINDS = ("TSk", "TS", "Lk", "Fk", "Flip", "Product", "Abstract")
@@ -187,10 +191,14 @@ def _slide_edges(g, masks):
     return tuple(adj)
 
 
+def _swap_edges(n, masks):
+    """Sorted adjacency rows joining masks over n elements that differ by
+    swapping one element for any other: slides along the complete graph."""
+    return _slide_edges(make_graph(n, combinations(range(n), 2)), masks)
+
+
 def build_TSk(g, k, budget=None):
     """TS_k(g): size-k independent sets, adjacent iff one token slides."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     masks = independent_sets_of_size(g, k, budget).masks()
     return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)
@@ -209,32 +217,9 @@ def build_TS(g, budget=None):
 
 def build_Lk(g, k, budget=None):
     """L_k(g): size-k cliques, adjacent iff they share k-1 vertices."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     masks = cliques_of_size(g, k, budget).masks()
-    if k == 1:
-        # the k=1 rule ("share zero vertices") makes L_1 complete; the
-        # common-neighbor rule below would wrongly demand adjacency
-        n = len(masks)
-        adj = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
-    else:
-        index = {m: i for i, m in enumerate(masks)}.get
-        adj = []
-        for m in masks:
-            row = []
-            for u in members(m):
-                others = m ^ 1 << u
-                cand = ~m  # k >= 2: others is not empty, so cand ends >= 0
-                for w in members(others):
-                    cand &= g.adjacency_mask(w)
-                for v in members(cand):
-                    j = index(others | 1 << v)
-                    if j is not None:
-                        row.append(j)
-            row.sort()
-            adj.append(tuple(row))
-        adj = tuple(adj)
-    return LabeledGraph._unchecked("Lk", g, adj, k=k, masks=masks)
+    return LabeledGraph._unchecked("Lk", g, _swap_edges(g.n, masks), k=k,
+                                   masks=masks)
 
 
 def build_Fk(g, k, budget=None):
@@ -245,13 +230,7 @@ def build_Fk(g, k, budget=None):
     if comb(g.n, k) > cap:
         raise ExplosionCap(
             f"F_{k} would have {comb(g.n, k)} nodes, budget is {cap}")
-    masks = []
-    for tup in combinations(range(g.n), k):
-        m = 0
-        for v in tup:
-            m |= 1 << v
-        masks.append(m)
-    masks = tuple(masks)
+    masks = independent_sets_of_size(make_graph(g.n, []), k, cap).masks()
     return LabeledGraph._unchecked("Fk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)
 

@@ -2,18 +2,22 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
+    InputError,
     add_isolated,
     complete,
     cycle,
     make_graph,
     parse_graph6,
     path,
+    triangulations,
     write_graph6,
 )
 from tokenslide.cli import main
@@ -507,6 +511,99 @@ class TestHarness:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, *argv])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    # JoinSpec JSON: valid specs over small graphs, and for each field
+    # values of the wrong type, range or shape
+    _join_specs = st.tuples(graphs(0, 5), graphs(0, 5)).flatmap(
+        lambda gs: st.fixed_dictionaries({
+            "g1": st.just({"n": gs[0].n,
+                           "edges": [list(e) for e in gs[0].edges()]}),
+            "g2": st.just({"n": gs[1].n,
+                           "edges": [list(e) for e in gs[1].edges()]}),
+            "h1": st.lists(st.integers(0, max(gs[0].n - 1, 0)),
+                           max_size=gs[0].n),
+            "h2": st.lists(st.integers(0, max(gs[1].n - 1, 0)),
+                           max_size=gs[1].n),
+            "k": st.integers(1, 3)}))
+    _bad_vertex_lists = st.one_of(
+        st.lists(st.one_of(st.integers(-2, 9), _json_atoms), max_size=4),
+        _json_atoms)
+    _bad_fields = {"g1": st.one_of(_json_graphs, _json_atoms),
+                   "g2": st.one_of(_json_graphs, _json_atoms),
+                   "h1": _bad_vertex_lists, "h2": _bad_vertex_lists,
+                   "k": st.one_of(st.integers(-1, 4), _json_atoms)}
+
+    # points: spread out at random (mostly in general position), on a
+    # small grid (often collinear or co-circular), or booleans, floats,
+    # out-of-bound coordinates and entries that are not pairs
+    _spread = st.builds(
+        lambda seed, n: [[rnd.randint(0, 1000), rnd.randint(0, 1000)]
+                         for rnd in [random.Random(seed)] for _ in range(n)],
+        st.integers(0, 2 ** 32), st.integers(3, 8))
+    _grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(list)
+    _bad_point = st.one_of(
+        st.lists(st.one_of(st.integers(-10 ** 6 - 2, 10 ** 6 + 2),
+                           st.booleans(), st.floats(allow_nan=True)),
+                 min_size=2, max_size=2),
+        st.lists(st.integers(-5, 5), max_size=3),
+        _json_atoms)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_decompose_and_geom_never_crash(self, data):
+        kind = data.draw(st.sampled_from(["spec", "bad-spec", "text",
+                                          "spread", "grid", "mixed"]))
+        if kind in ("spec", "bad-spec", "text"):
+            argv = ["decompose", "--stdin"]
+            spec = data.draw(self._join_specs)
+            if kind == "bad-spec":
+                # one field wrong or missing, or no spec at all
+                key = data.draw(st.sampled_from(sorted(spec) + ["all"]))
+                if key == "all":
+                    spec = data.draw(self._json_graphs)
+                elif data.draw(st.booleans()):
+                    spec[key] = data.draw(self._bad_fields[key])
+                else:
+                    del spec[key]
+            stdin = (data.draw(st.text(max_size=8)) if kind == "text"
+                     else json.dumps(spec))
+        else:
+            pts = data.draw({
+                "spread": self._spread,
+                "grid": st.lists(self._grid, max_size=8),
+                "mixed": st.lists(st.one_of(self._grid, self._bad_point),
+                                  max_size=8)}[kind])
+            if 0 < len(pts) < 8 and data.draw(st.integers(0, 3)) == 0:
+                pts.append(data.draw(st.sampled_from(pts)))  # a duplicate
+            stdin = json.dumps(pts)
+            if data.draw(st.booleans()):
+                argv = ["geom", "--stdin"]
+            else:
+                argv, stdin = ["geom", "--points", stdin], ""
+            for flag in ("--check", "--triangulations", "--flip-graph",
+                         "--delaunay", "--check-ts-iso"):
+                if data.draw(st.booleans()):
+                    argv.append(flag)
+            lawson = data.draw(st.sampled_from(
+                ["none", "triangulation", "pairs", "junk"]))
+            if lawson == "triangulation":
+                try:
+                    ts = triangulations(pts)
+                except InputError:
+                    ts = [[]]
+                argv += ["--lawson", json.dumps(data.draw(
+                    st.sampled_from(ts)))]
+            elif lawson != "none":
+                argv += ["--lawson", json.dumps(data.draw({
+                    "pairs": st.lists(st.lists(st.integers(-1, 8),
+                                               max_size=3), max_size=14),
+                    "junk": self._json_atoms}[lawson]))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with mock.patch("sys.stdin", io.StringIO(stdin)):
+                code = main(argv)
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
 

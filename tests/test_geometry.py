@@ -270,11 +270,21 @@ class TestFlipGraph:
                 [l.mask for l in ts.labels]
             assert sorted(fg.edges()) == sorted(ts.edges())
 
-    def test_flips_change_one_diagonal(self):
-        fg = flip_graph(PTS)
-        ts = triangulations(PTS)
-        for i, j in fg.edges():
-            assert len(set(ts[i]) ^ set(ts[j])) == 2
+    def test_flips_change_one_diagonal(self, rng):
+        # and conversely, every two triangulations one diagonal apart
+        # are joined, also with no crossing segment at all
+        sets = [PTS, [(0, 0), (5, 1), (2, 6)]]
+        sets += [random_point_set(rng, rng.randint(4, 8)) for _ in range(6)]
+        for pts in sets:
+            fg = flip_graph(pts)
+            ts = triangulations(pts)
+            edges = set(fg.edges())
+            for i, j in edges:
+                assert len(set(ts[i]) ^ set(ts[j])) == 2
+            masks = fg.label_masks()
+            for i, j in combinations(range(len(masks)), 2):
+                assert ((masks[i] ^ masks[j]).bit_count() == 2) == \
+                    ((i, j) in edges)
 
     def test_flip_node_count_matches_enumeration(self, rng):
         pts = random_point_set(rng, 5)

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import networkx as nx
@@ -185,7 +186,7 @@ class TestBuildLk:
             ours.add_edges_from(lk.edges())
             assert nx.is_isomorphic(ours, lg)
 
-    @given(graphs(max_n=6), st.integers(min_value=2, max_value=3))
+    @given(graphs(max_n=6), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_against_brute(self, g, k):
         lk = build_Lk(g, k)
@@ -196,6 +197,10 @@ class TestBuildLk:
                       for i, a in enumerate(fam) for b in fam[i + 1:]
                       if len(a & b) == k - 1}
         assert labelled_edges(lk) == want_edges
+
+    def test_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            build_Lk(path(3), 0)
 
 
 class TestBuildFk:
@@ -224,6 +229,13 @@ class TestBuildFk:
         ts = build_TSk(g, k)
         assert labelled_nodes(ts) <= labelled_nodes(fk)
         assert labelled_edges(ts) <= labelled_edges(fk)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nodes_in_combinations_order(self, n):
+        for k in range(1, n + 1):
+            want = [sum(1 << v for v in tup)
+                    for tup in combinations(range(n), k)]
+            assert list(build_Fk(path(n), k).label_masks()) == want
 
     def test_k_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
