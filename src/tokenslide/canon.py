@@ -115,17 +115,15 @@ def _automorphisms(g):
     return out
 
 
-def canonical_labeling(g, budget=None):
+def canonical_labeling(g):
     """(certificate, labeling) where labeling[v] = canonical position of v."""
     n, adj = _as_adj(g)
-    if budget is None:
-        budget = DEFAULT_ISO_BUDGET
-    return _labeling_search(n, adj, g.adjacency_masks(), budget)
+    return _labeling_search(n, adj, g.adjacency_masks(), DEFAULT_ISO_BUDGET)
 
 
-def canonical_form(g, budget=None):
+def canonical_form(g):
     """Hashable certificate; equal certificates iff isomorphic graphs."""
-    return canonical_labeling(g, budget)[0]
+    return canonical_labeling(g)[0]
 
 
 def _cheap_invariants(adj):
@@ -133,25 +131,24 @@ def _cheap_invariants(adj):
     return sorted(degs), sorted(Counter(_refine(adj, degs)).values())
 
 
-def is_isomorphic(g1, g2, budget=None):
-    """Exact isomorphism test via canonical certificates."""
+def is_isomorphic(g1, g2):
+    """Exact isomorphism test: iso_map finds a bijection."""
+    return iso_map(g1, g2) is not None
+
+
+def iso_map(g1, g2):
+    """A vertex bijection g1 -> g2 realizing an isomorphism, or None.
+
+    Node and edge counts and cheap invariants reject a pair before the
+    canonical labelings are compared.
+    """
     n1, a1 = _as_adj(g1)
     n2, a2 = _as_adj(g2)
-    if n1 != n2:
-        return False
-    if sum(map(len, a1)) != sum(map(len, a2)):
-        return False
-    if _cheap_invariants(a1) != _cheap_invariants(a2):
-        return False
-    return canonical_form(g1, budget) == canonical_form(g2, budget)
-
-
-def iso_map(g1, g2, budget=None):
-    """A vertex bijection g1 -> g2 realizing an isomorphism, or None."""
-    if g1.num_nodes() != g2.num_nodes():
+    if (n1 != n2 or sum(map(len, a1)) != sum(map(len, a2))
+            or _cheap_invariants(a1) != _cheap_invariants(a2)):
         return None
-    cert1, lab1 = canonical_labeling(g1, budget)
-    cert2, lab2 = canonical_labeling(g2, budget)
+    cert1, lab1 = canonical_labeling(g1)
+    cert2, lab2 = canonical_labeling(g2)
     if cert1 != cert2:
         return None
     inv2 = [0] * len(lab2)

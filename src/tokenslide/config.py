@@ -15,18 +15,16 @@ DEFAULT_NODE_BUDGET = 2 ** 22
 DEFAULT_ISO_BUDGET = 1_000_000
 
 
-def node_budget(override=None):
-    """Effective stable-set budget: explicit override > env var > default."""
-    if override is not None:
-        return int(override)
+def node_budget():
+    """Effective stable-set budget: env var > default."""
     env = os.environ.get("TOKENSLIDE_NODE_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError(
-                f"TOKENSLIDE_NODE_BUDGET must be an integer, got {env!r}")
-        if value < 1:
-            raise InputError("TOKENSLIDE_NODE_BUDGET must be positive")
-        return value
-    return DEFAULT_NODE_BUDGET
+    if env is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        raise InputError(
+            f"TOKENSLIDE_NODE_BUDGET must be an integer, got {env!r}")
+    if value < 1:
+        raise InputError("TOKENSLIDE_NODE_BUDGET must be positive")
+    return value

@@ -19,7 +19,8 @@ from typing import Optional
 
 from .errors import (DegenerateSegment, GeneralPositionViolated, InputError,
                      TooFewPoints, TooManyPoints)
-from .graph import Graph, make_graph, members
+from .graph import Graph, VertexSet, make_graph, members
+from .io import format_label
 from .reconf import LabeledGraph, _swap_edges
 
 COORD_BOUND = 10 ** 6
@@ -126,13 +127,6 @@ class SegmentGraph:
         return self.segments.index(tuple(seg))
 
 
-def _segment_label(seg, n):
-    i, j = seg
-    if n <= 9:
-        return f"{i + 1}{j + 1}"
-    return f"{i + 1}-{j + 1}"
-
-
 def edge_intersection_graph(points):
     """Graph on properly-crossing segments, plus the never-crossing list L."""
     pts = _require_general_position(points)
@@ -151,7 +145,7 @@ def edge_intersection_graph(points):
     edges = [(pos[s], pos[t]) for s in verts for t in sorted(crossing[s])
              if pos[s] < pos[t]]
     segments = tuple(all_segs[s] for s in verts)
-    names = [_segment_label(seg, n) for seg in segments]
+    names = [format_label(VertexSet.of(seg, n)) for seg in segments]
     graph = make_graph(len(verts), edges, names=names)
     never = tuple(seg for i, seg in enumerate(all_segs) if i not in crossing)
     return SegmentGraph(points=tuple(pts), segments=segments,

@@ -17,7 +17,6 @@ from .errors import (
     SubsetViolation,
 )
 
-WIDTH_DEFAULT = 64
 WIDTH_MAX = 128
 
 
@@ -108,10 +107,6 @@ class VertexSet:
         self._check_host(other)
         return self.mask & ~other.mask == 0
 
-    def isdisjoint(self, other):
-        self._check_host(other)
-        return self.mask & other.mask == 0
-
     def __repr__(self):
         return "VertexSet({" + ", ".join(map(str, self.members())) + "}, n=%d)" % self.n
 
@@ -140,10 +135,6 @@ class Graph:
         """Neighbor bit masks of all vertices, as LabeledGraph gives them."""
         return self._adj
 
-    def adjacency(self, v):
-        """Neighbors of v as a VertexSet."""
-        return VertexSet(self._adj[v], self.n)
-
     def neighbors(self, v):
         row = self._adj[v]
         return _SMALL_MEMBERS[row] if row < 256 else members(row)
@@ -163,13 +154,6 @@ class Graph:
 
     def num_edges(self):
         return sum(a.bit_count() for a in self._adj) // 2
-
-    def vertex_set(self, vertices):
-        """VertexSet over this graph's vertices."""
-        return VertexSet.of(vertices, self.n)
-
-    def full_set(self):
-        return VertexSet((1 << self.n) - 1, self.n)
 
     def name_of(self, v):
         if self.names is not None:

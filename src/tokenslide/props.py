@@ -1,6 +1,5 @@
 """Graph property computations: planarity, coloring, Eulerian checks,
-girth, cliques and connectivity; the canonical forms of canon.py are
-re-exported here.
+girth, cliques and connectivity.
 
 All functions accept either a Graph or a LabeledGraph. Searches walk
 neighbor lists; the clique search runs the maximum-stable-set search of
@@ -15,8 +14,7 @@ from typing import Optional, Union
 
 import networkx as nx
 
-from .canon import (_as_adj, canonical_form, canonical_labeling,
-                    is_isomorphic, iso_map)
+from .canon import _as_adj
 from .stable import _max_stable_in_masks
 
 
@@ -227,12 +225,7 @@ def diameter(g):
 def is_eulerian(g):
     """Connected with all degrees even. Isolated-vertex graphs count only
     when connected, so K_1 is Eulerian but K_1 + K_1 is not."""
-    n, adj = _as_adj(g)
-    if n == 0:
-        return True
-    if any(len(row) % 2 for row in adj):
-        return False
-    return is_connected(g)
+    return components_eulerian(g) and is_connected(g)
 
 
 def components_eulerian(g):
@@ -447,9 +440,8 @@ def analyze(g):
 
 
 __all__ = [
-    "INFINITE", "PropertyReport", "analyze", "canonical_form",
-    "canonical_labeling", "chromatic_number", "classify_subdivision",
-    "clique_number", "components", "components_eulerian", "diameter",
-    "girth", "has_clique", "is_connected", "is_eulerian", "is_isomorphic",
-    "is_planar", "is_s_partite", "iso_map",
+    "INFINITE", "PropertyReport", "analyze", "chromatic_number",
+    "classify_subdivision", "clique_number", "components",
+    "components_eulerian", "diameter", "girth", "has_clique",
+    "is_connected", "is_eulerian", "is_planar", "is_s_partite",
 ]

@@ -11,6 +11,7 @@ element for any other, which is a slide along the complete graph
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -31,22 +32,20 @@ class LabeledGraph:
     (check_labeled_graph); the package's own builders use _unchecked.
     """
 
-    __slots__ = ("kind", "base", "_labels", "_masks", "_adj", "k", "_layers",
-                 "_index")
+    __slots__ = ("kind", "base", "_labels", "_masks", "_adj", "k", "_index")
 
-    def __init__(self, kind, base, labels, adj, k=None, layers=None):
+    def __init__(self, kind, base, labels, adj, k=None):
         _fill(self, kind, base, tuple(labels), None,
-              tuple(tuple(sorted(row)) for row in adj), k, layers)
+              tuple(tuple(sorted(row)) for row in adj), k)
         check_labeled_graph(self)
 
     @classmethod
-    def _unchecked(cls, kind, base, adj, k=None, layers=None, masks=None,
-                   labels=None):
+    def _unchecked(cls, kind, base, adj, k=None, masks=None, labels=None):
         """A builder's output, taken as it is: adj a tuple of sorted
         tuples, and either set labels as masks over base's vertices or
         the labels themselves."""
         lg = object.__new__(cls)
-        _fill(lg, kind, base, labels, masks, adj, k, layers)
+        _fill(lg, kind, base, labels, masks, adj, k)
         return lg
 
     def __setattr__(self, name, value):
@@ -102,19 +101,18 @@ class LabeledGraph:
         """Node index of a label; raises KeyError if absent."""
         return self._label_index()[label]
 
-    def has_node(self, label):
-        return label in self._label_index()
+    def _label_sizes(self):
+        masks = self.label_masks() if self.kind == "TS" else None
+        if masks is None:
+            raise ValueError("not a layered graph")
+        return [m.bit_count() for m in masks]
 
     def layer(self, k):
         """Node indices of the size-k layer (TS graphs only)."""
-        if self._layers is None:
-            raise ValueError("not a layered graph")
-        return self._layers.get(k, ())
+        return tuple(i for i, s in enumerate(self._label_sizes()) if s == k)
 
     def layer_sizes(self):
-        if self._layers is None:
-            raise ValueError("not a layered graph")
-        return {k: len(v) for k, v in self._layers.items()}
+        return dict(Counter(self._label_sizes()))
 
     def adjacency_masks(self):
         """Neighbor bit masks over node indices (for property algorithms)."""
@@ -129,10 +127,10 @@ class LabeledGraph:
                 f"edges={self.num_edges()})")
 
 
-def _fill(lg, kind, base, labels, masks, adj, k, layers):
+def _fill(lg, kind, base, labels, masks, adj, k):
     for name, value in (("kind", kind), ("base", base), ("_labels", labels),
                         ("_masks", masks), ("_adj", adj), ("k", k),
-                        ("_layers", layers), ("_index", None)):
+                        ("_index", None)):
         object.__setattr__(lg, name, value)
 
 
@@ -197,50 +195,46 @@ def _swap_edges(n, masks):
     return _slide_edges(make_graph(n, combinations(range(n), 2)), masks)
 
 
-def build_TSk(g, k, budget=None):
+def build_TSk(g, k):
     """TS_k(g): size-k independent sets, adjacent iff one token slides."""
-    masks = independent_sets_of_size(g, k, budget).masks()
+    masks = independent_sets_of_size(g, k).masks()
     return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)
 
 
-def build_TS(g, budget=None):
+def build_TS(g):
     """TS(g): all non-empty independent sets; disjoint union of TS_k layers."""
-    masks = all_independent_sets(g, budget).masks()
-    layers = {}
-    for i, m in enumerate(masks):
-        layers.setdefault(m.bit_count(), []).append(i)
-    layers = {k: tuple(v) for k, v in layers.items()}
+    masks = all_independent_sets(g).masks()
     return LabeledGraph._unchecked("TS", g, _slide_edges(g, masks),
-                                   layers=layers, masks=masks)
+                                   masks=masks)
 
 
-def build_Lk(g, k, budget=None):
+def build_Lk(g, k):
     """L_k(g): size-k cliques, adjacent iff they share k-1 vertices."""
-    masks = cliques_of_size(g, k, budget).masks()
+    masks = cliques_of_size(g, k).masks()
     return LabeledGraph._unchecked("Lk", g, _swap_edges(g.n, masks), k=k,
                                    masks=masks)
 
 
-def build_Fk(g, k, budget=None):
+def build_Fk(g, k):
     """Token graph F_k(g): all k-subsets under the slide rule."""
     if not 1 <= k <= g.n:
         raise IndexOutOfRange(f"k must be in 1..{g.n}, got {k}")
-    cap = node_budget(budget)
+    cap = node_budget()
     if comb(g.n, k) > cap:
         raise ExplosionCap(
             f"F_{k} would have {comb(g.n, k)} nodes, budget is {cap}")
-    masks = independent_sets_of_size(make_graph(g.n, []), k, cap).masks()
+    masks = independent_sets_of_size(make_graph(g.n, []), k).masks()
     return LabeledGraph._unchecked("Fk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)
 
 
-def build_TSk_induced(g, k, vertices, budget=None):
+def build_TSk_induced(g, k, vertices):
     """TS_k of the induced subgraph on `vertices`, labels kept in g's indexing."""
     vs = _as_vset(vertices, g.n)
     keep = vs.members()
     sub = induced_subgraph(g, vs)
-    ts = build_TSk(sub, k, budget)
+    ts = build_TSk(sub, k)
     masks = []
     for m in ts.label_masks():
         lifted = 0

@@ -92,18 +92,18 @@ def _enumerate_stable_masks(adj, n, k, cap, out):
     return out
 
 
-def independent_sets_of_size(g, k, budget=None):
+def independent_sets_of_size(g, k):
     """All independent k-sets of g; empty family when k exceeds alpha."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cap = node_budget(budget)
+    cap = node_budget()
     masks = _enumerate_stable_masks(g._adj, g.n, k, cap, [])
     return StableSetFamily(g, k, tuple(masks))
 
 
-def all_independent_sets(g, budget=None):
+def all_independent_sets(g):
     """All non-empty independent sets, smaller sizes first."""
-    cap = node_budget(budget)
+    cap = node_budget()
     masks = []
     for k in range(1, g.n + 1):
         before = len(masks)
@@ -151,11 +151,11 @@ def omega(g):
     return alpha(complement(g))
 
 
-def cliques_of_size(g, k, budget=None):
+def cliques_of_size(g, k):
     """All k-cliques of g, same ordering convention as the stable families."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cap = node_budget(budget)
+    cap = node_budget()
     co = complement(g)
     masks = _enumerate_stable_masks(co._adj, g.n, k, cap, [])
     return StableSetFamily(g, k, tuple(masks))

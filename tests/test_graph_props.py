@@ -314,6 +314,9 @@ class TestEulerian:
     def test_cycles(self):
         assert is_eulerian(cycle(6))
 
+    def test_empty_graph(self):
+        assert is_eulerian(make_graph(0, []))
+
     def test_disconnected_even_degrees(self):
         g = disjoint_union(cycle(3), cycle(3))
         assert not is_eulerian(g)
@@ -635,10 +638,24 @@ class TestIsomorphism:
         assert is_isomorphic(build_TSk(path(8), 4), path(5))
         assert is_isomorphic(build_TSk(kite(), 2), paw())
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        from tokenslide import canon
+
+        monkeypatch.setattr(canon, "DEFAULT_ISO_BUDGET", 10)
         g = disjoint_union(complete_bipartite(8, 8), complete_bipartite(8, 8))
         with pytest.raises(TooLargeForIso):
-            canonical_labeling(g, budget=10)
+            canonical_labeling(g)
+
+    def test_iso_map_rejects_degrees_before_labeling(self, monkeypatch):
+        from tokenslide import canon
+
+        def no_labeling(g):
+            raise AssertionError("canonical_labeling was called")
+
+        monkeypatch.setattr(canon, "canonical_labeling", no_labeling)
+        # P_4 and K_{1,3}: four vertices and three edges each
+        assert iso_map(path(4), star(3)) is None
+        assert not is_isomorphic(path(4), star(3))
 
     @given(graphs(max_n=9))
     @settings(max_examples=150, deadline=None)

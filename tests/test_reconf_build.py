@@ -113,9 +113,10 @@ class TestBuildTSk:
         with pytest.raises(ValueError):
             build_TSk(path(3), 0)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "100")
         with pytest.raises(ExplosionCap):
-            build_TSk(make_graph(30, []), 15, budget=100)
+            build_TSk(make_graph(30, []), 15)
 
 
 class TestBuildTS:
@@ -139,6 +140,26 @@ class TestBuildTS:
     def test_layer_sizes(self):
         ts = build_TS(cycle(5))
         assert ts.layer_sizes() == {1: 5, 2: 5}
+
+    @given(graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_layers_match_stable_families(self, g):
+        ts = build_TS(g)
+        families = {k: independent_sets_of_size(g, k).members
+                    for k in range(1, g.n + 1)}
+        families = {k: sets for k, sets in families.items() if sets}
+        sizes = ts.layer_sizes()
+        assert list(sizes) == sorted(families)
+        assert sizes == {k: len(sets) for k, sets in families.items()}
+        for k, sets in families.items():
+            assert tuple(ts.label(i) for i in ts.layer(k)) == sets
+
+    def test_layers_only_of_ts(self):
+        ts = build_TSk(path(5), 2)
+        with pytest.raises(ValueError):
+            ts.layer(2)
+        with pytest.raises(ValueError):
+            ts.layer_sizes()
 
     def test_c4_isolated_pair_nodes(self):
         ts = build_TS(cycle(4))
@@ -243,9 +264,10 @@ class TestBuildFk:
         with pytest.raises(IndexOutOfRange):
             build_Fk(path(3), 0)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(10 ** 6))
         with pytest.raises(ExplosionCap):
-            build_Fk(complete(28), 14, budget=10 ** 6)
+            build_Fk(complete(28), 14)
 
 
 class TestInducedLaw:

@@ -120,14 +120,11 @@ class TestAllIndependentSets:
         ours = {frozenset(m.members()) for m in all_independent_sets(g)}
         assert ours == brute_all_stable(g)
 
-    def test_explosion_cap(self):
+    @pytest.mark.parametrize("budget, n", [("4", 6), ("1000", 24)])
+    def test_budget_env_var(self, monkeypatch, budget, n):
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", budget)
         with pytest.raises(ExplosionCap):
-            all_independent_sets(make_graph(24, []), budget=1000)
-
-    def test_budget_env_var(self, monkeypatch):
-        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "4")
-        with pytest.raises(ExplosionCap):
-            all_independent_sets(make_graph(6, []))
+            all_independent_sets(make_graph(n, []))
 
 
 class TestAlphaOmega:
