@@ -6,7 +6,8 @@ and map triangulation flip graphs onto the same machinery.
 """
 
 from .canon import canonical_form, canonical_labeling, is_isomorphic, iso_map
-from .config import DEFAULT_ISO_BUDGET, DEFAULT_NODE_BUDGET, node_budget
+from .config import (DEFAULT_ISO_BUDGET, DEFAULT_NODE_BUDGET,
+                     DEFAULT_SEARCH_BUDGET, node_budget)
 from .decompose import (Decomposition, JoinSpec, check_disconnection,
                         decompose_join, join_spec_from_json, product)
 from .enumeration import (GRAPHS_MAX_N, TREES_MAX_N, enumerate_connected_graphs,
@@ -18,7 +19,8 @@ from .errors import (ConditionViolated, CycleTooSmall, DegenerateSegment,
                      NoStableSetOfSizeK, NotConnected, NotIndependent,
                      NotSplit, NTooLarge, ResourceCap, SubsetViolation,
                      TokenslideError, TooFewPoints, TooLargeForIso,
-                     TooManyPoints, UniverseOverlap, UnknownSearch)
+                     TooLargeForSearch, TooManyPoints, UniverseOverlap,
+                     UnknownSearch)
 from .geometry import (GeneralPosition, SegmentGraph, check_general_position,
                        convex_hull_size, delaunay, edge_intersection_graph,
                        flip_graph, in_circle, lawson_distance, orient,

@@ -14,6 +14,10 @@ DEFAULT_NODE_BUDGET = 2 ** 22
 # canonical-form backtracking: search tree nodes before TooLargeForIso
 DEFAULT_ISO_BUDGET = 1_000_000
 
+# maximum-stable-set (clique) and colouring backtracking: stack pops or
+# steps per search before TooLargeForSearch
+DEFAULT_SEARCH_BUDGET = 10_000_000
+
 
 def node_budget():
     """Effective stable-set budget: env var > default."""

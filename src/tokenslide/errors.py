@@ -126,5 +126,9 @@ class TooLargeForIso(ResourceCap):
     """Canonical-form backtracking exceeded its node budget."""
 
 
+class TooLargeForSearch(ResourceCap):
+    """A clique or colouring search exceeded its work budget."""
+
+
 class UnknownSearch(InputError):
     """Search name not recognized."""

@@ -2,19 +2,23 @@
 girth, cliques and connectivity.
 
 All functions accept either a Graph or a LabeledGraph. Searches walk
-neighbor lists; the clique search runs the maximum-stable-set search of
-stable.py on complement bit masks over node indices, so node counts are
-not width-limited.
+neighbor lists, so node counts are not width-limited. The clique search
+takes the nodes in a degeneracy order and runs the maximum-stable-set
+search of stable.py on the complement of each node's later neighbours,
+over local indices, so its bit masks are at most the degeneracy wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 import networkx as nx
 
+from . import config
 from .canon import _as_adj
+from .errors import TooLargeForSearch
 from .stable import _max_stable_in_masks
 
 
@@ -108,7 +112,11 @@ def classify_subdivision(n, edges):
 
 
 def _planar(edges):
-    """Yes/no left-right planarity test of an edge list (Brandes 2009)."""
+    """Yes/no planarity of an edge list: Euler's bound m <= 3n - 6 over
+    its n >= 3 vertices, then the left-right test (Brandes 2009)."""
+    n = len({v for e in edges for v in e})
+    if n >= 3 and len(edges) > 3 * n - 6:
+        return False
     h = nx.Graph()
     h.add_edges_from(edges)
     return nx.check_planarity(h)[0]
@@ -190,31 +198,50 @@ def is_connected(g):
     return len(components(g)) <= 1
 
 
+def _bfs(n, adj, s):
+    """Distances from s; -1 where s does not reach."""
+    dist = [-1] * n
+    dist[s] = 0
+    queue = [s]
+    for u in queue:
+        d = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
 def diameter(g):
-    """Longest shortest path; INFINITE when disconnected, 0 for n <= 1."""
+    """Longest shortest path; INFINITE when disconnected, 0 for n <= 1.
+
+    iFUB (Crescenzi et al. 2013) from a node u halfway along the path
+    found by a double sweep: nodes at most i away from u are at most 2i
+    apart, so BFS from the nodes of the levels of u's BFS tree, farthest
+    first, until the best eccentricity found covers twice the next level.
+    """
     n, adj = _as_adj(g)
     if n <= 1:
         return 0
-    best = 0
-    for s in range(n):
-        seen = [False] * n
-        seen[s] = True
-        frontier = [s]
-        reached = 1
-        d = -1
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(w)
-            reached += len(nxt)
-            frontier = nxt
-        if reached < n:
-            return INFINITE
-        best = max(best, d)
+    dist = _bfs(n, adj, 0)
+    if min(dist) < 0:
+        return INFINITE
+    a = dist.index(max(dist))
+    from_a = _bfs(n, adj, a)
+    best = max(from_a)
+    from_b = _bfs(n, adj, from_a.index(best))
+    half = best // 2
+    u = next(v for v in range(n)
+             if from_a[v] == half and from_b[v] == best - half)
+    from_u = _bfs(n, adj, u)
+    i = max(from_u)
+    levels = [[] for _ in range(i + 1)]
+    for v, d in enumerate(from_u):
+        levels[d].append(v)
+    best = max(best, i)
+    while i > 0 and best < 2 * i:
+        best = max(best, *(max(_bfs(n, adj, x)) for x in levels[i]))
+        i -= 1
     return best
 
 
@@ -241,8 +268,16 @@ def components_eulerian(g):
 def girth(g):
     """Length of a shortest cycle, or INFINITE for forests."""
     n, adj = _as_adj(g)
+    return _girth(n, adj, 3)
+
+
+def _girth(n, adj, low):
+    """Girth over neighbor lists, done once a cycle of length low, a
+    lower bound on the girth, turns up."""
     best = None
     for s in range(n):
+        if best == low:
+            break
         dist = [-1] * n
         parent = [-1] * n
         dist[s] = 0
@@ -271,12 +306,65 @@ def girth(g):
 # cliques
 
 
+def _degeneracy_order(n, adj):
+    """Smallest-last order: each node has the fewest neighbours among the
+    nodes not yet taken (Matula & Beck 1983)."""
+    deg = [len(row) for row in adj]
+    buckets = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(n):
+        buckets[deg[v]].append(v)
+    taken = [False] * n
+    order = []
+    d = 0
+    for _ in range(n):
+        while True:  # a bucket entry is stale once its node moved down
+            while not buckets[d]:
+                d += 1
+            v = buckets[d].pop()
+            if not taken[v] and deg[v] == d:
+                break
+        taken[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not taken[w]:
+                deg[w] -= 1
+                buckets[deg[w]].append(w)
+        d = max(d - 1, 0)
+    return order
+
+
 def _max_clique(g, stop_at=None):
-    """Largest clique size, as a stable-set search in the complement."""
-    n, masks = g.num_nodes(), g.adjacency_masks()
-    full = (1 << n) - 1
-    comp = [full & ~masks[v] & ~(1 << v) for v in range(n)]
-    return _max_stable_in_masks(n, comp, stop_at)
+    """Largest clique size, or a size >= stop_at once one is found.
+
+    A clique is its earliest node in a degeneracy order plus a clique
+    among that node's later neighbours (Eppstein, Löffler & Strash
+    2010), found as a stable set of the complement of their subgraph.
+    """
+    n, adj = _as_adj(g)
+    order = _degeneracy_order(n, adj)
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    best = min(n, 1)
+    for v in order:
+        if stop_at is not None and best >= stop_at:
+            break
+        later = [w for w in adj[v] if rank[w] > rank[v]]
+        if 1 + len(later) <= best:
+            continue
+        index = {w: i for i, w in enumerate(later)}
+        full = (1 << len(later)) - 1
+        comp = []
+        for i, w in enumerate(later):
+            row = 1 << i
+            for x in adj[w]:
+                j = index.get(x)
+                if j is not None:
+                    row |= 1 << j
+            comp.append(full & ~row)
+        best = max(best, 1 + _max_stable_in_masks(
+            len(later), comp, None if stop_at is None else stop_at - 1))
+    return best
 
 
 def clique_number(g):
@@ -300,14 +388,20 @@ def _try_color(n, adj, order, s):
     """Backtracking s-coloring over the given vertex order.
 
     Depth idx colors order[idx]; going back to a depth resumes after the
-    color it last tried, so colors are tried in increasing order.
+    color it last tried, so colors are tried in increasing order. Each
+    step forward or back spends one unit of the search budget.
     """
+    left = config.DEFAULT_SEARCH_BUDGET
     m = len(order)
     color = [-1] * n
     resume = [0] * m  # next color to try at each depth
     used = [0] * (m + 1)  # number of distinct colors before each depth
     idx = 0
     while 0 <= idx < m:
+        left -= 1
+        if left < 0:
+            raise TooLargeForSearch(
+                f"colouring search passed {config.DEFAULT_SEARCH_BUDGET} steps")
         v = order[idx]
         color[v] = -1
         forbidden = 0
@@ -345,28 +439,34 @@ def is_s_partite(g, s):
     return _try_color(n, adj, _coloring_order(n, adj), s)
 
 
+def _dsatur(n, adj):
+    """Colors by DSATUR (Brélaz 1979): color next, with its lowest free
+    color, an uncolored node with the most distinct neighbour colors,
+    ties to the highest degree, then the lowest index."""
+    color = [-1] * n
+    seen = [0] * n  # bit mask of the colors next to each node
+    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heapify(heap)
+    while heap:
+        v = heappop(heap)[2]
+        if color[v] >= 0:
+            continue  # an older entry of a node colored since
+        free = ~seen[v] & (seen[v] + 1)
+        color[v] = free.bit_length() - 1
+        for w in adj[v]:
+            if color[w] < 0 and not seen[w] & free:
+                seen[w] |= free
+                heappush(heap, (-seen[w].bit_count(), -len(adj[w]), w))
+    return color
+
+
 def _chromatic(n, adj, low):
     """Chromatic number over neighbor lists, given a clique size low."""
     if n == 0:
         return 0
-    if not any(adj):
-        return 1
-    # greedy upper bound over the degree order
-    order = _coloring_order(n, adj)
-    color = [-1] * n
-    high = 0
-    for v in order:
-        forbidden = 0
-        for w in adj[v]:
-            if color[w] >= 0:
-                forbidden |= 1 << color[w]
-        c = 0
-        while forbidden >> c & 1:
-            c += 1
-        color[v] = c
-        high = max(high, c + 1)
+    high = max(_dsatur(n, adj)) + 1
     for s in range(low, high):
-        if _try_color(n, adj, order, s):
+        if _try_color(n, adj, _coloring_order(n, adj), s):
             return s
     return high
 
@@ -431,7 +531,7 @@ def analyze(g):
         diameter=diameter(g),
         chromatic=_chromatic(n, adj, clique),
         clique=clique,
-        girth=girth(g),
+        girth=3 if clique >= 3 else _girth(n, adj, 4),
         planar=planar,
         planar_witness=witness,
         eulerian=even and connected,

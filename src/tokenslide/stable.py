@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+from . import config
 from .config import node_budget
-from .errors import ExplosionCap, NotSplit, SubsetViolation
+from .errors import ExplosionCap, NotSplit, SubsetViolation, TooLargeForSearch
 from .graph import Graph, VertexSet, _as_vset, complement, members
 
 
@@ -117,11 +118,17 @@ def _max_stable_in_masks(n, masks, stop_at=None):
     """Max independent set size over an adjacency mask list.
 
     With stop_at set, returns early once a set of that size is found.
-    Branches depth first on an explicit stack, taking the pick first.
+    Branches depth first on an explicit stack, taking the pick first;
+    each pop spends one unit of the search budget.
     """
+    left = config.DEFAULT_SEARCH_BUDGET
     best = 0
     stack = [((1 << n) - 1, 0)]  # (candidates, size of the set so far)
     while stack:
+        left -= 1
+        if left < 0:
+            raise TooLargeForSearch(
+                f"stable-set search passed {config.DEFAULT_SEARCH_BUDGET} steps")
         cand, size = stack.pop()
         if size + cand.bit_count() <= best:
             continue

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tokenslide import (
     InputError,
     add_isolated,
+    classify_subdivision,
     complete,
     cycle,
     make_graph,
@@ -181,6 +182,39 @@ class TestAnalyze:
     def test_mode_conflict(self, capsys):
         assert run(capsys, "analyze", "--graph6", write_graph6(path(3)),
                    "--ts", "2", "--ts-all")[0] == 2
+
+    def test_ts_all_of_edgeless_graph(self, capsys):
+        # 4,095 nodes and no edges; the clique search once built n-bit
+        # complement masks here and took seconds
+        js = run_json(capsys, "analyze", "--graph6",
+                      write_graph6(make_graph(12, [])), "--ts-all")
+        assert (js["nodes"], js["edges"]) == (4095, 0)
+        assert (js["clique"], js["chromatic"]) == (1, 1)
+        assert js["diameter"] == "infinite"
+
+    def test_ts5_of_p24(self, capsys):
+        # 15,504 nodes; TS_5(P_24) has diameter 5 * (24 - 10 + 1)
+        js = run_json(capsys, "analyze", "--graph6", write_graph6(path(24)),
+                      "--ts", "5")
+        assert (js["nodes"], js["edges"]) == (15504, 58140)
+        assert (js["diameter"], js["clique"], js["chromatic"],
+                js["girth"], js["planar"]) == (75, 2, 2, 4, False)
+        witness = [tuple(e) for e in js["planar_witness"]]
+        assert classify_subdivision(js["nodes"], witness) is not None
+
+    # on C_9 a budget of 2 runs out in the first clique search and one
+    # of 8 in the 2-colouring search
+    @pytest.mark.parametrize("budget,search", [(2, "stable-set"),
+                                               (8, "colouring")])
+    def test_search_budget(self, capsys, monkeypatch, budget, search):
+        from tokenslide import config
+
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", budget)
+        code, out, err = run(capsys, "analyze", "--graph6",
+                             write_graph6(cycle(9)))
+        assert code == 3
+        assert out == ""
+        assert f"resource cap: {search} search passed {budget} steps" in err
 
     # stdout SHA-256 of these commands as printed with networkx's
     # one-edge-at-a-time witness search; a change to the witness or to
@@ -457,8 +491,8 @@ class TestHarness:
         assert "Traceback" not in err.getvalue()
 
     # JSON values a graph file may hold: well-formed graphs, and every
-    # kind of wrong type, size or shape in their place; n stays <= 9, as
-    # analyze --ts-all of the edgeless graph on 12 vertices takes seconds
+    # kind of wrong type, size or shape in their place; n stays <= 9, so
+    # that no example builds a slide graph of thousands of nodes
     _json_atoms = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
                             st.floats(allow_nan=True), st.text(max_size=3))
     _json_graphs = st.one_of(

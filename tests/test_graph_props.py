@@ -10,6 +10,7 @@ from tokenslide import (
     INFINITE,
     Graph,
     TooLargeForIso,
+    TooLargeForSearch,
     alpha,
     analyze,
     build_TS,
@@ -43,6 +44,9 @@ from tokenslide import (
     relabel,
     star,
 )
+
+from tokenslide.canon import _as_adj
+from tokenslide.props import _dsatur
 
 from conftest import (
     brute_cliques,
@@ -89,6 +93,35 @@ def subset_chromatic(n, edges):
             sub = (sub - 1) & rest
         chi[m] = best
     return chi[-1]
+
+
+def all_pairs_diameter(g):
+    """Diameter by BFS from every node: INFINITE when disconnected, 0 for
+    n <= 1."""
+    n, adj = _as_adj(g)
+    if n <= 1:
+        return 0
+    best = 0
+    for s in range(n):
+        seen = [False] * n
+        seen[s] = True
+        frontier = [s]
+        reached = 1
+        d = -1
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            reached += len(nxt)
+            frontier = nxt
+        if reached < n:
+            return INFINITE
+        best = max(best, d)
+    return best
 
 
 def petersen():
@@ -166,7 +199,12 @@ class TestSlideGraphKernels:
             assert diameter(ts) is INFINITE
         want = nx.girth(nxg)
         assert girth(ts) == (INFINITE if want == float("inf") else want)
-        assert clique_number(ts) == max(len(c) for c in nx.find_cliques(nxg))
+        w = max(len(c) for c in nx.find_cliques(nxg))
+        assert clique_number(ts) == w
+        for s in range(1, ts.num_nodes() + 2):
+            assert has_clique(ts, s) == (s <= w)
+        color = _dsatur(*_as_adj(ts))
+        assert all(color[u] != color[v] for u, v in ts.edges())
         if ts.num_nodes() <= 10:
             assert chromatic_number(ts) == subset_chromatic(
                 ts.num_nodes(), ts.edges())
@@ -174,6 +212,43 @@ class TestSlideGraphKernels:
         assert alpha(g) == max(
             len(c) for c in nx.find_cliques(nx.complement(base)))
         assert omega(g) == max(len(c) for c in nx.find_cliques(base))
+
+
+    @pytest.mark.parametrize("host,k", [
+        (path(40), 2), (cycle(12), 3), (cycle(22), 4),
+        (star(4), 2),  # disconnected: leaf tokens cannot pass the centre
+        (path(7), 4),  # one node
+        (make_graph(6, []), None),  # TS, no edges
+    ], ids=["TS2-P40", "TS3-C12", "TS4-C22", "TS2-K14", "TS4-P7", "TS-E6"])
+    def test_diameter_matches_all_pairs_bfs(self, host, k):
+        g = build_TS(host) if k is None else build_TSk(host, k)
+        assert diameter(g) == all_pairs_diameter(g)
+
+    # TS_k(P_n) is the slide graph of the k-subsets of [n - k + 1] (take
+    # token i to position p_i - i), where moving one token one step costs
+    # one slide; from the leftmost to the rightmost set each of the k
+    # tokens travels n - 2k + 1 positions
+    @pytest.mark.parametrize("n,k", [
+        (1, 1), (2, 1), (5, 1), (5, 2), (5, 3), (6, 2), (9, 3), (10, 4),
+        (12, 3), (13, 5), (16, 4), (24, 5), (28, 6)])
+    def test_path_slide_diameter_closed_form(self, n, k):
+        assert diameter(build_TSk(path(n), k)) == k * (n - 2 * k + 1)
+
+
+class TestSearchBudget:
+    def test_stable_set_search(self, monkeypatch):
+        from tokenslide import config
+
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 2)
+        with pytest.raises(TooLargeForSearch):
+            alpha(cycle(9))
+
+    def test_colouring_search(self, monkeypatch):
+        from tokenslide import config
+
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 2)
+        with pytest.raises(TooLargeForSearch):
+            is_s_partite(cycle(9), 2)
 
 
 class TestGirth:
@@ -699,6 +774,15 @@ class TestAnalyze:
         assert js["planar"] is False
         assert sorted(map(sorted, js["planar_witness"])) == \
             sorted(map(sorted, [[a, b] for a, b in combinations(range(5), 2)]))
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_fields_match_single_property_calls(self, g):
+        # analyze takes girth 3 from a clique of 3, and otherwise stops
+        # the girth search at the first 4-cycle
+        r = analyze(g)
+        assert (r.girth, r.diameter, r.clique, r.chromatic) == (
+            girth(g), diameter(g), clique_number(g), chromatic_number(g))
 
     def test_clique_and_components_computed_once(self, monkeypatch):
         from tokenslide import props
