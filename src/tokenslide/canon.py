@@ -14,6 +14,7 @@ from collections import Counter
 
 from .config import DEFAULT_ISO_BUDGET
 from .errors import TooLargeForIso
+from .graph import members
 
 
 def _as_adj(g):
@@ -43,10 +44,16 @@ def _refine(adj, colors):
 
 
 def _labeling_search(n, adj, masks, budget):
-    """Minimum certificate over all discrete refinements, with its labeling."""
+    """Minimum certificate over all discrete refinements, with its labeling.
+
+    Depth first on an explicit stack: a branch (colors, pick, cell) is
+    colors with vertex pick individualised in its cell. Branches are
+    popped in increasing pick, so nodes are visited (and counted against
+    the budget) in the order a recursion over each cell would visit them.
+    """
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    best = [None, None]  # cert, perm
-    visited = [0]
+    best_cert = best_perm = None
+    visited = 0
 
     def cert_of(perm):
         out = []
@@ -56,9 +63,14 @@ def _labeling_search(n, adj, masks, budget):
         out.sort()
         return tuple(out)
 
-    def search(colors):
-        visited[0] += 1
-        if visited[0] > budget:
+    stack = [(list(map(len, adj)), None, None)]
+    while stack:
+        colors, pick, cell = stack.pop()
+        if pick is not None:
+            colors = [2 * c for c in colors]
+            colors[pick] = 2 * cell - 1
+        visited += 1
+        if visited > budget:
             raise TooLargeForIso(
                 f"canonical search exceeded {budget} nodes")
         colors = _refine(adj, colors)
@@ -67,9 +79,9 @@ def _labeling_search(n, adj, masks, budget):
         target = next((a for a, b in zip(ranks, ranks[1:]) if a == b), None)
         if target is None:
             cert = cert_of(colors)
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, colors
-            return
+            if best_cert is None or cert < best_cert:
+                best_cert, best_perm = cert, colors
+            continue
         # swapping two twins is an automorphism fixing everything else,
         # so one representative per twin class of the cell suffices
         tried = []
@@ -80,12 +92,8 @@ def _labeling_search(n, adj, masks, budget):
                    for u in tried):
                 continue
             tried.append(v)
-            child = [2 * c for c in colors]
-            child[v] = 2 * target - 1
-            search(child)
-
-    search(list(map(len, adj)))
-    return (n, best[0]), best[1]
+        stack.extend((colors, v, target) for v in reversed(tried))
+    return (n, best_cert), best_perm
 
 
 def _automorphisms(g):
@@ -93,25 +101,25 @@ def _automorphisms(g):
 
     Maps the vertices in turn, each into its own refined cell (which every
     automorphism keeps) and onto a vertex whose neighbours among the images
-    so far are the images of its own.
+    so far are the images of its own. Depth first on an explicit stack of
+    partial maps, extended in increasing image as a recursion would.
     """
     n, adj = _as_adj(g)
     masks = g.adjacency_masks()
     colors = _refine(adj, list(map(len, adj)))
-    perm, out = [0] * n, []
-
-    def extend(v, used):
+    cells = [sum(1 << w for w in range(n) if colors[w] == c) for c in colors]
+    out = []
+    stack = [((), 0)]  # (images of 0..v-1, their bit set)
+    while stack:
+        perm, used = stack.pop()
+        v = len(perm)
         if v == n:
-            out.append(tuple(perm))
-            return
+            out.append(perm)
+            continue
         img = sum(1 << perm[u] for u in adj[v] if u < v)
-        for w in range(n):
-            if (colors[w] == colors[v] and not used >> w & 1
-                    and masks[w] & used == img):
-                perm[v] = w
-                extend(v + 1, used | 1 << w)
-
-    extend(0, 0)
+        for w in reversed(members(cells[v] & ~used)):
+            if masks[w] & used == img:
+                stack.append((perm + (w,), used | 1 << w))
     return out
 
 

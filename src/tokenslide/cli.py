@@ -296,8 +296,11 @@ def _cmd_geom(args):
                            if verdict.cocircular else None),
         }
     if args.triangulations:
-        out["triangulations"] = [
-            [list(seg) for seg in t] for t in triangulations(pts)]
+        tris = triangulations(pts)
+        # one list per segment, shared by every triangulation holding it:
+        # the 1,653 triangulations of a 10-point set hold 74k segments
+        seg = {s: list(s) for s in set().union(*tris)}
+        out["triangulations"] = [[seg[s] for s in t] for t in tris]
     if args.flip_graph or args.check_ts_iso:
         fg = flip_graph(pts)
     if args.flip_graph:

@@ -14,6 +14,7 @@ triangulations correspond to maximal stable sets of the crossing graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -180,13 +181,21 @@ def _maximal_stable_sets(g):
 
 
 def _crossing_stables(points, what):
-    """The crossing graph and its maximal stable sets, checked equal-sized."""
+    """The crossing graph and its maximal stable sets (a tuple of masks,
+    checked equal-sized); consecutive calls on one point set share them."""
     pts = _check_points(points)
     if len(pts) > POINTS_MAX:
         raise TooManyPoints(
             f"{what} supports up to {POINTS_MAX} points, got {len(pts)}")
+    return _crossing_of(tuple(pts))
+
+
+@lru_cache(maxsize=1)
+def _crossing_of(pts):
+    # cached so that triangulations and flip_graph of one point set share
+    # the work; both returned values are immutable
     sg = edge_intersection_graph(pts)
-    stables = _maximal_stable_sets(sg.graph)
+    stables = tuple(_maximal_stable_sets(sg.graph))
     sizes = {m.bit_count() for m in stables}
     if len(sizes) > 1:
         raise RuntimeError(
@@ -216,7 +225,7 @@ def flip_graph(points):
     sg, stables = _crossing_stables(points, "flip graph")
     stables = tuple(sorted(stables, key=members))
     return LabeledGraph._unchecked("Flip", sg.graph,
-                                   _swap_edges(sg.graph.n, stables),
+                                   _swap_edges(stables),
                                    k=stables[0].bit_count(), masks=stables)
 
 

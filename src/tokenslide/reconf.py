@@ -1,18 +1,17 @@
 """Reconfiguration-graph builders: TS_k, TS, L_k, and the token graph F_k.
 
-Nodes carry labels (vertex sets of the base graph). Every builder's edges
-are single-token moves, found by _slide_edges: it moves each token of a
-node along each edge of a graph and looks the result up in the node
-index, which is O(nodes * k * degree) instead of all pairs. TS_k, TS and
-F_k slide along the base graph; L_k (and geometry's flip graph) swap one
-element for any other, which is a slide along the complete graph
-(_swap_edges).
+Nodes carry labels (vertex sets of the base graph), and every builder's
+edges are single-token moves, never found by comparing all pairs. TS_k,
+TS and F_k slide a token along an edge of the base graph: _slide_edges
+moves each token of a node along each edge and looks the result up in
+the node index, O(nodes * k * degree). L_k (and geometry's flip graph)
+swap one element for any other: _swap_edges groups the nodes by their
+shared (k-1)-subsets, k dictionary operations per node.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from math import comb
 
 from .config import node_budget
@@ -189,10 +188,32 @@ def _slide_edges(g, masks):
     return tuple(adj)
 
 
-def _swap_edges(n, masks):
-    """Sorted adjacency rows joining masks over n elements that differ by
-    swapping one element for any other: slides along the complete graph."""
-    return _slide_edges(make_graph(n, combinations(range(n), 2)), masks)
+def _swap_edges(masks):
+    """Sorted adjacency rows joining equal-size masks that differ by
+    swapping one element for another.
+
+    Two such sets share exactly one (k-1)-subset, so the nodes are
+    grouped by the subsets left when one member is dropped, and each
+    group is a clique: k dictionary operations per node.
+    """
+    # subset -> its one holder so far, or the list of its holders from
+    # the second on (a list for each subset would double the memory)
+    groups = {}
+    rows = [[] for _ in masks]
+    for i, m in enumerate(masks):
+        for u in members(m):
+            key = m ^ 1 << u
+            group = groups.setdefault(key, i)
+            if group == i:
+                continue
+            if type(group) is int:
+                group = groups[key] = [group]
+            for j in group:
+                rows[j].append(i)
+                rows[i].append(j)
+            group.append(i)
+    del groups
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def build_TSk(g, k):
@@ -212,7 +233,7 @@ def build_TS(g):
 def build_Lk(g, k):
     """L_k(g): size-k cliques, adjacent iff they share k-1 vertices."""
     masks = cliques_of_size(g, k).masks()
-    return LabeledGraph._unchecked("Lk", g, _swap_edges(g.n, masks), k=k,
+    return LabeledGraph._unchecked("Lk", g, _swap_edges(masks), k=k,
                                    masks=masks)
 
 

@@ -75,21 +75,27 @@ def is_independent(g, s):
 def _enumerate_stable_masks(adj, n, k, cap, out):
     """Append all independent k-set masks in sorted-tuple order."""
     # branch on the lowest admissible vertex; picking vertices in
-    # increasing order yields the family already sorted
-    def rec(start, chosen, blocked, remaining):
-        if remaining == 0:
-            out.append(chosen)
+    # increasing order yields the family already sorted. `avail` holds
+    # the vertices above the last pick that no pick blocks; a branch
+    # with fewer of them than tokens left holds no set (counting bound)
+    def rec(avail, chosen, remaining):
+        if remaining == 1:
+            while avail:
+                low = avail & -avail
+                out.append(chosen | low)
+                avail ^= low
             if len(out) > cap:
                 raise ExplosionCap(
                     f"more than {cap} stable sets; raise the node budget")
             return
-        for v in range(start, n - remaining + 1):
-            if (blocked >> v) & 1:
-                continue
-            rec(v + 1, chosen | (1 << v), blocked | adj[v], remaining - 1)
+        while avail.bit_count() >= remaining:
+            low = avail & -avail
+            avail ^= low
+            rec(avail & ~adj[low.bit_length() - 1], chosen | low,
+                remaining - 1)
 
     if 0 < k <= n:
-        rec(0, 0, 0, k)
+        rec((1 << n) - 1, 0, k)
     return out
 
 

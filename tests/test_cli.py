@@ -27,6 +27,8 @@ from tokenslide.searches import SEARCH_NAMES
 from conftest import diamond, graphs, paw
 
 PTS_JSON = "[[0,8],[7,16],[16,9],[8,0],[5,6],[3,9]]"
+HULL3_JSON = ("[[1,40],[4,37],[36,24],[8,22],[9,11],[1,2],[15,27],[2,26],"
+              "[18,20],[24,24]]")
 
 
 def run(capsys, *argv):
@@ -367,6 +369,33 @@ class TestGeom:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "5e4fdf60c3d584fd9a5de3c842f628ad920f19c309b08d74fbbab75530a46a04"
+
+    def test_golden_stdout_hull3(self, capsys):
+        # 10 points, 3 on the hull: 1,653 triangulations, alpha 14; stdout
+        # SHA-256 recorded before the counting bound and the grouped swaps
+        code, out, err = run(capsys, "geom", "--points", HULL3_JSON,
+                             "--check", "--triangulations", "--flip-graph",
+                             "--delaunay", "--check-ts-iso")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "83025ef173b287abbca45ce92547f925417c77916f2540e5bff780bd85ed3303"
+
+    def test_crossing_work_once_per_call(self, capsys, monkeypatch):
+        from tokenslide import geometry
+
+        calls = {"edge_intersection_graph": 0, "_maximal_stable_sets": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(geometry, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(geometry, name, counted)
+        geometry._crossing_of.cache_clear()
+        code, _, err = run(capsys, "geom", "--points", PTS_JSON, "--check",
+                           "--triangulations", "--flip-graph", "--delaunay",
+                           "--check-ts-iso")
+        assert code == 0, err
+        assert calls == {"edge_intersection_graph": 1,
+                         "_maximal_stable_sets": 1}
 
     def test_bad_points(self, capsys):
         assert run(capsys, "geom", "--points", "{}", "--check")[0] == 2

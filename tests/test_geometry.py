@@ -286,6 +286,15 @@ class TestFlipGraph:
                 assert ((masks[i] ^ masks[j]).bit_count() == 2) == \
                     ((i, j) in edges)
 
+    def test_rows_are_the_two_bit_xor_pairs(self, rng):
+        for _ in range(4):
+            fg = flip_graph(random_point_set(rng, 7))
+            masks = fg.label_masks()
+            for i, m in enumerate(masks):
+                assert list(fg.neighbors(i)) == [
+                    j for j, w in enumerate(masks)
+                    if (m ^ w).bit_count() == 2]
+
     def test_flip_node_count_matches_enumeration(self, rng):
         pts = random_point_set(rng, 5)
         assert flip_graph(pts).num_nodes() == len(triangulations(pts))

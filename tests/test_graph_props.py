@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations, permutations, product
 
 import networkx as nx
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tokenslide import (
     INFINITE,
     Graph,
+    LabeledGraph,
     TooLargeForIso,
     TooLargeForSearch,
     alpha,
@@ -741,6 +743,21 @@ class TestIsomorphism:
     @settings(max_examples=80, deadline=None)
     def test_labeling_matches_reference_on_symmetric_graphs(self, g):
         assert canonical_labeling(g) == reference_labeling(g)
+
+    def test_ts_of_edgeless_10_has_a_certificate(self):
+        # 1,023 nodes whose search individualises one twin per level,
+        # deeper than the interpreter's default recursion limit
+        ts = build_TS(make_graph(10, []))
+        cert = canonical_form(ts)
+        assert cert[0] == 1023 and len(cert[1]) == ts.num_edges()
+        perm = list(range(1023))
+        random.Random(10).shuffle(perm)
+        labels, adj = [None] * 1023, [None] * 1023
+        for i in range(1023):
+            labels[perm[i]] = ts.label(i)
+            adj[perm[i]] = [perm[j] for j in ts.neighbors(i)]
+        copy = LabeledGraph("TS", ts.base, labels, adj)
+        assert canonical_form(copy) == cert
 
     def test_labelings_of_all_small_graphs(self):
         # SHA-256 recorded before the refinement was made cheaper

@@ -223,6 +223,19 @@ class TestBuildLk:
         with pytest.raises(ValueError, match="k must be >= 1, got 0"):
             build_Lk(path(3), 0)
 
+    @pytest.mark.parametrize("g, k", [
+        *((complete(8), k) for k in range(1, 6)),  # groups of 8 - k + 1
+        (complete(12), 5),  # 792 nodes in groups of 8
+        (cycle(30), 2), (cycle(30), 3), (path(30), 2), (path(30), 3)])
+    def test_rows_match_shared_subset_rule(self, g, k):
+        # adjacent iff the two k-cliques share k - 1 vertices, row by row
+        lk = build_Lk(g, k)
+        fam = [frozenset(c) for c in sorted(map(sorted, brute_cliques(g, k)))]
+        assert [frozenset(lab.members()) for lab in lk.labels] == fam
+        for i, a in enumerate(fam):
+            assert list(lk.neighbors(i)) == [
+                j for j, b in enumerate(fam) if len(a & b) == k - 1]
+
 
 class TestBuildFk:
     def test_f1_is_host(self):

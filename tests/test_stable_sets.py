@@ -1,7 +1,9 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenslide import (
     ExplosionCap,
@@ -16,6 +18,7 @@ from tokenslide import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    edge_intersection_graph,
     independent_sets_of_size,
     is_independent,
     is_isomorphic,
@@ -31,6 +34,7 @@ from conftest import (
     brute_all_stable,
     brute_cliques,
     brute_stable_sets,
+    edge_set,
     graphs,
 )
 
@@ -99,6 +103,31 @@ class TestIndependentSetsOfSize:
         a = alpha(g)
         assert len(independent_sets_of_size(g, a)) >= 1
         assert len(independent_sets_of_size(g, a + 1)) == 0
+
+    @given(graphs(max_n=12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_filtered_combinations_in_order(self, g, data):
+        # the counting bound may cut branches but never a set or the order
+        k = data.draw(st.integers(min_value=1, max_value=alpha(g) + 1))
+        edges = edge_set(g)
+        want = [c for c in combinations(range(g.n), k)
+                if not any(p in edges for p in combinations(c, 2))]
+        got = [m.members() for m in independent_sets_of_size(g, k)]
+        assert got == want
+
+    def test_budget_counts_every_set_when_the_bound_prunes(
+            self, monkeypatch):
+        # the crossing graph of 8 points in convex position, where 213
+        # branches run out of admissible vertices before their last pick
+        g = edge_intersection_graph([(x, x * x) for x in range(8)]).graph
+        a = alpha(g)
+        count = len(independent_sets_of_size(g, a))
+        assert count == 132  # Catalan(6) triangulations of the octagon
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(count))
+        assert len(independent_sets_of_size(g, a)) == count
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(count - 1))
+        with pytest.raises(ExplosionCap):
+            independent_sets_of_size(g, a)
 
 
 class TestAllIndependentSets:
