@@ -1,10 +1,13 @@
 """Join decomposition of slide graphs.
 
 Joining G1 and G2 along H1, H2 splits TS_k of the join into k+1
-node-disjoint parts by s = |S intersect V(G1)|. The two extreme parts
-are TS_k(G1) and TS_k(G2); each middle part is a union of two products.
-Part edges are stored twice: the product-rule edges and the edges
-induced from the full slide graph, so any gap between them is visible.
+node-disjoint parts by s = |S intersect V(G1)|. The parts are cut from
+the full slide graph. The two extreme parts are TS_k(G1) and TS_k(G2);
+each middle part is the union of two products, TS_s(G1) x TS_{k-s}(G2 -
+H2) and TS_s(G1 - H1) x TS_{k-s}(G2). These product routes are built as
+masks and checked against the part: together they must give its nodes,
+and their edges must be among its edges. Part edges no route gives are
+listed, so any gap between the product rule and the slide graph shows.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (InputError, MalformedJoinSpec, NoStableSetOfSizeK,
                      UniverseOverlap)
-from .graph import Graph, VertexSet, _as_vset, disjoint_union, join, members
+from .graph import Graph, VertexSet, _as_vset, disjoint_union, join
 from .io import format_label, graph_from_json, graph_to_json
 from .reconf import LabeledGraph, build_TSk, build_TSk_induced
 from .stable import independent_sets_of_size
@@ -107,14 +110,30 @@ def product(a, b):
                                    labels=labels)
 
 
-def _product_mask_edges(fa, fb):
-    """Nodes (as union masks) and edges of product(fa, fb), where the
-    factors are TS graphs over one shared base with disjoint label ranges."""
-    p = product(fa, fb)
-    masks = [la.mask | lb.mask for la, lb in p.labels]
-    edges = {(min(masks[i], masks[j]), max(masks[i], masks[j]))
-             for i, j in p.edges()}
-    return set(masks), edges
+def _slide_family(g, region, t):
+    """TS_t of g induced on region, as (mask, neighbour masks) pairs;
+    TS_0 is the one empty set."""
+    if t == 0:
+        return [(0, ())]
+    ts = build_TSk_induced(g, t, VertexSet(region, g.n))
+    masks = ts.label_masks()
+    return [(m, [masks[j] for j in ts.neighbors(i)])
+            for i, m in enumerate(masks)]
+
+
+def _route(g, a_region, s, b_region, t):
+    """Nodes and edges, as masks, of TS_s(g[a_region]) x TS_t(g[b_region]):
+    a move slides one factor along its edge, the other stays put."""
+    nodes, edges = set(), set()
+    fb = _slide_family(g, b_region, t)
+    for a, a_moves in _slide_family(g, a_region, s):
+        for b, b_moves in fb:
+            m = a | b
+            nodes.add(m)
+            for m2 in [a2 | b for a2 in a_moves] + [a | b2 for b2 in b_moves]:
+                if m < m2:
+                    edges.add((m, m2))
+    return nodes, edges
 
 
 @dataclass(frozen=True)
@@ -173,106 +192,56 @@ def decompose_join(spec):
     n1 = spec.g1.n
     g1_mask = (1 << n1) - 1
     g2_mask = ((1 << g.n) - 1) ^ g1_mask
-    h2_shift = spec.h2.mask << n1
     h1_mask = spec.h1.mask
+    h2_mask = spec.h2.mask << n1
     full = build_TSk(g, k)
-
-    part_masks = []       # per part: ordered list of node masks
-    provenances = []
-    product_edge_sets = []
-
-    # s = k: all tokens on G1; s = 0: all on G2
-    for s_val, rng in ((k, g1_mask), (0, g2_mask)):
-        ts = build_TSk_induced(g, k, VertexSet(rng, g.n))
-        masks = ts.label_masks()
-        part_masks.append(masks)
-        provenances.append(["left" if s_val == k else "right"] * len(masks))
-        edges = set()
-        for i, j in ts.edges():
-            a, b = masks[i], masks[j]
-            edges.add((min(a, b), max(a, b)))
-        product_edge_sets.append(edges)
-
-    for s in range(1, k):
-        fa1 = build_TSk_induced(g, s, VertexSet(g1_mask, g.n))
-        fa2 = build_TSk_induced(g, k - s, VertexSet(g2_mask & ~h2_shift, g.n))
-        fb1 = build_TSk_induced(g, s, VertexSet(g1_mask & ~h1_mask, g.n))
-        fb2 = build_TSk_induced(g, k - s, VertexSet(g2_mask, g.n))
-        nodes_a, edges_a = _product_mask_edges(fa1, fa2)
-        nodes_b, edges_b = _product_mask_edges(fb1, fb2)
-        combined = nodes_a | nodes_b
-        ordered = sorted(combined, key=members)
-        prov = []
-        for m in ordered:
-            if m in nodes_a and m in nodes_b:
-                prov.append("both")
-            elif m in nodes_a:
-                prov.append("left")
-            else:
-                prov.append("right")
-        part_masks.append(ordered)
-        provenances.append(prov)
-        product_edge_sets.append(edges_a | edges_b)
-
-    # classification by s must agree with the product construction
-    claimed = {}
-    for t, masks in enumerate(part_masks):
-        for m in masks:
-            if m in claimed:
-                raise RuntimeError("part node sets overlap")
-            claimed[m] = t
     full_masks = full.label_masks()
-    for m in full_masks:
-        s = (m & g1_mask).bit_count()
-        expect = 0 if s == k else 1 if s == 0 else 2 + (s - 1)
-        if claimed.get(m) != expect:
-            raise RuntimeError(
-                f"node {VertexSet(m, g.n)} not classified into its s-part")
-    if len(claimed) != full.num_nodes():
-        raise RuntimeError("parts do not cover the slide graph")
 
-    part_s = tuple([k, 0] + list(range(1, k)))
-    parts = []
-    extra_within = []
-    product_local = []
-    part_of = [0] * full.num_nodes()
-    full_pos = {m: i for i, m in enumerate(full_masks)}
-    for t, masks in enumerate(part_masks):
-        pos = {m: i for i, m in enumerate(masks)}
-        adj = []
-        induced = set()
-        for i, m in enumerate(masks):
-            fi = full_pos[m]
-            part_of[fi] = t
-            row = []
-            for fj in full.neighbors(fi):
-                mj = full_masks[fj]
-                j = pos.get(mj)
-                if j is not None:
-                    row.append(j)
-                    if j > i:
-                        induced.add((min(m, mj), max(m, mj)))
-            row.sort()
-            adj.append(tuple(row))
-        parts.append(LabeledGraph._unchecked("TSk", g, tuple(adj), k=k,
-                                             masks=tuple(masks)))
-        prod = product_edge_sets[t]
+    part_s = (k, 0) + tuple(range(1, k))
+    t_of = {s: t for t, s in enumerate(part_s)}
+    part_of = tuple(t_of[(m & g1_mask).bit_count()] for m in full_masks)
+
+    parts, provenances, product_edges, extra_within = [], [], [], []
+    for t, s in enumerate(part_s):
+        ids = [i for i, p in enumerate(part_of) if p == t]  # in full order
+        masks = tuple(full_masks[i] for i in ids)
+        local = {m: i for i, m in enumerate(masks)}
+        adj = tuple(tuple(local[full_masks[j]] for j in full.neighbors(i)
+                          if part_of[j] == t) for i in ids)
+        parts.append(LabeledGraph._unchecked("TSk", g, adj, k=k, masks=masks))
+        routes = []
+        if s > 0:
+            routes.append(("left", _route(g, g1_mask, s,
+                                          g2_mask & ~h2_mask, k - s)))
+        if s < k:
+            routes.append(("right", _route(g, g1_mask & ~h1_mask, s,
+                                           g2_mask, k - s)))
+        origin = {}
+        for name, (nodes, _) in routes:
+            for m in nodes:
+                origin[m] = "both" if m in origin else name
+        if origin.keys() != local.keys():
+            raise RuntimeError(
+                f"product routes do not give exactly the s = {s} part")
+        prod = {(min(local[a], local[b]), max(local[a], local[b]))
+                for _, (_, edges) in routes for a, b in edges}
+        induced = set(parts[-1].edges())
         if not prod <= induced:
             raise RuntimeError("product rule produced a non-slide edge")
-        extra = sorted(induced - prod)
-        extra_within.append(tuple(
-            (min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in extra))
-        product_local.append(tuple(sorted(
-            (min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in prod)))
+        provenances.append(tuple(origin[m] for m in masks))
+        product_edges.append(tuple(sorted(prod)))
+        # ordered by the label masks of each edge's two ends
+        extra_within.append(tuple(sorted(
+            induced - prod, key=lambda e: sorted(masks[v] for v in e))))
 
     cross = tuple((i, j) for i, j in full.edges()
                   if part_of[i] != part_of[j])
     return Decomposition(
         spec=spec, joined=g, full=full, parts=tuple(parts),
-        part_s=part_s, provenance=tuple(tuple(p) for p in provenances),
-        product_edges=tuple(product_local),
+        part_s=part_s, provenance=tuple(provenances),
+        product_edges=tuple(product_edges),
         extra_within=tuple(extra_within),
-        cross_edges=cross, part_of=tuple(part_of))
+        cross_edges=cross, part_of=part_of)
 
 
 def check_disconnection(spec, i):

@@ -10,6 +10,7 @@ over local indices, so its bit masks are at most the degeneracy wide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional, Union
@@ -22,43 +23,8 @@ from .errors import TooLargeForSearch
 from .stable import _max_stable_in_masks
 
 
-class _InfiniteType:
-    """Distinguished infinite value for girth and diameter.
-
-    Compares greater than every integer and equal only to itself, so it
-    can never be confused with a sentinel numeric value.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinite"
-
-    def __eq__(self, other):
-        return isinstance(other, _InfiniteType)
-
-    def __hash__(self):
-        return hash("_InfiniteType")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _InfiniteType)
-
-    def __gt__(self, other):
-        return not isinstance(other, _InfiniteType)
-
-    def __ge__(self, other):
-        return True
-
-
-INFINITE = _InfiniteType()
+# girth of a forest, diameter of a disconnected graph
+INFINITE = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +452,10 @@ class PropertyReport:
     edges: int
     connected: bool
     component_count: int
-    diameter: Union[int, _InfiniteType]
+    diameter: Union[int, float]
     chromatic: int
     clique: int
-    girth: Union[int, _InfiniteType]
+    girth: Union[int, float]
     planar: bool
     planar_witness: Optional[tuple]
     eulerian: bool
@@ -497,7 +463,7 @@ class PropertyReport:
 
     def to_json(self):
         def enc(x):
-            return "infinite" if isinstance(x, _InfiniteType) else x
+            return "infinite" if x == INFINITE else x
 
         return {
             "nodes": self.nodes,

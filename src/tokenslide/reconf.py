@@ -16,8 +16,9 @@ from math import comb
 
 from .config import node_budget
 from .errors import ExplosionCap, IndexOutOfRange
-from .graph import VertexSet, _as_vset, induced_subgraph, make_graph, members
-from .stable import all_independent_sets, cliques_of_size, independent_sets_of_size
+from .graph import VertexSet, _as_vset, make_graph, members
+from .stable import (_enumerate_stable_masks, all_independent_sets,
+                     cliques_of_size, independent_sets_of_size)
 
 KINDS = ("TSk", "TS", "Lk", "Fk", "Flip", "Product", "Abstract")
 
@@ -251,16 +252,9 @@ def build_Fk(g, k):
 
 
 def build_TSk_induced(g, k, vertices):
-    """TS_k of the induced subgraph on `vertices`, labels kept in g's indexing."""
-    vs = _as_vset(vertices, g.n)
-    keep = vs.members()
-    sub = induced_subgraph(g, vs)
-    ts = build_TSk(sub, k)
-    masks = []
-    for m in ts.label_masks():
-        lifted = 0
-        for v in members(m):
-            lifted |= 1 << keep[v]
-        masks.append(lifted)
-    return LabeledGraph._unchecked("TSk", g, ts._adj, k=k,
-                                   masks=tuple(masks))
+    """TS_k of the subgraph of g induced on `vertices`, labels kept in g's
+    indexing: the stable k-sets inside the region, slides among them."""
+    region = _as_vset(vertices, g.n).mask
+    masks = tuple(_enumerate_stable_masks(g._adj, region, k, []))
+    return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
+                                   masks=masks)

@@ -72,8 +72,13 @@ def is_independent(g, s):
     return True
 
 
-def _enumerate_stable_masks(adj, n, k, cap, out):
-    """Append all independent k-set masks in sorted-tuple order."""
+def _enumerate_stable_masks(adj, avail, k, out):
+    """Append the masks of all independent k-sets inside `avail` to out,
+    in sorted-tuple order."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    cap = node_budget()
+
     # branch on the lowest admissible vertex; picking vertices in
     # increasing order yields the family already sorted. `avail` holds
     # the vertices above the last pick that no pick blocks; a branch
@@ -94,27 +99,22 @@ def _enumerate_stable_masks(adj, n, k, cap, out):
             rec(avail & ~adj[low.bit_length() - 1], chosen | low,
                 remaining - 1)
 
-    if 0 < k <= n:
-        rec((1 << n) - 1, 0, k)
+    rec(avail, 0, k)
     return out
 
 
 def independent_sets_of_size(g, k):
     """All independent k-sets of g; empty family when k exceeds alpha."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    cap = node_budget()
-    masks = _enumerate_stable_masks(g._adj, g.n, k, cap, [])
+    masks = _enumerate_stable_masks(g._adj, (1 << g.n) - 1, k, [])
     return StableSetFamily(g, k, tuple(masks))
 
 
 def all_independent_sets(g):
     """All non-empty independent sets, smaller sizes first."""
-    cap = node_budget()
     masks = []
     for k in range(1, g.n + 1):
         before = len(masks)
-        _enumerate_stable_masks(g._adj, g.n, k, cap, masks)
+        _enumerate_stable_masks(g._adj, (1 << g.n) - 1, k, masks)
         if len(masks) == before:
             break  # no stable set of size k, so none larger either
     return StableSetFamily(g, "all", tuple(masks))
@@ -166,11 +166,8 @@ def omega(g):
 
 def cliques_of_size(g, k):
     """All k-cliques of g, same ordering convention as the stable families."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    cap = node_budget()
     co = complement(g)
-    masks = _enumerate_stable_masks(co._adj, g.n, k, cap, [])
+    masks = _enumerate_stable_masks(co._adj, (1 << g.n) - 1, k, [])
     return StableSetFamily(g, k, tuple(masks))
 
 

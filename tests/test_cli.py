@@ -311,12 +311,24 @@ class TestDecompose:
         "k": 3,
     }
 
+    # P_11 and C_11 joined along {0, 4, 8} and {1, 5, 9}: 22 vertices,
+    # so labels are written with dashes; TS_4 has 3,099 nodes
+    SPEC11 = {
+        "g1": {"n": 11, "edges": [[i, i + 1] for i in range(10)]},
+        "g2": {"n": 11, "edges": [[i, (i + 1) % 11] for i in range(11)]},
+        "h1": [0, 4, 8],
+        "h2": [1, 5, 9],
+        "k": 4,
+    }
+
     @pytest.mark.parametrize("spec,sha", [
         (SPEC,
          "a4d0026dbee4bf19469c7ee52c35c96407ca7586b68df8f164f2ab2f90ec6556"),
         (SPEC3,
          "8b9f6bf24b01c949291b21bad3acdf0cc032ba364bf1f6dfae0ff446afea7088"),
-    ], ids=["SPEC", "P5-C6-k3"])
+        (SPEC11,
+         "d69cc34c7b4a3dc430525c7e9445e34f0e20eba53fd79d65549d4b7e4df5da64"),
+    ], ids=["SPEC", "P5-C6-k3", "P11-C11-k4"])
     def test_golden_stdout(self, capsys, monkeypatch, spec, sha):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
         code, out, err = run(capsys, "decompose", "--stdin")

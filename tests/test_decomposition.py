@@ -24,7 +24,7 @@ from tokenslide import (
     star,
 )
 
-from conftest import random_graph
+from conftest import brute_slide_edges, brute_stable_sets, random_graph
 
 
 def fig_disconnection_spec():
@@ -150,6 +150,43 @@ class TestDecomposeInvariants:
                 assert d.part_of[i] != d.part_of[j]
             assert (sum(p.num_edges() for p in d.parts)
                     + len(d.cross_edges) == d.full.num_edges())
+
+    def test_parts_match_the_definitions(self, rng):
+        # a part holds the stable k-sets of the join with s tokens on G1,
+        # in sorted-member order, and its edges are the slides between
+        # them; a middle node's provenance says which H_i it avoids
+        for spec in random_specs(rng, 12):
+            d = decompose_join(spec)
+            k, n1 = spec.k, spec.g1.n
+            g = spec.joined()
+            h1, h2 = spec.h1.mask, spec.h2.mask << n1
+            stable = brute_stable_sets(g, k)
+            slides = brute_slide_edges(g, stable)
+            for t, part in enumerate(d.parts):
+                s = d.part_s[t]
+                want = sorted((x for x in stable
+                               if sum(1 for v in x if v < n1) == s),
+                              key=sorted)
+                labels = [frozenset(lab.members()) for lab in part.labels]
+                assert labels == want
+                assert {frozenset((labels[i], labels[j]))
+                        for i, j in part.edges()} == {
+                    e for e in slides if e <= set(want)}
+                for lab, prov in zip(part.labels, d.provenance[t]):
+                    meets1, meets2 = bool(lab.mask & h1), bool(lab.mask & h2)
+                    if s == k:
+                        assert prov == "left"
+                    elif s == 0:
+                        assert prov == "right"
+                    else:
+                        assert (prov == "left") == (meets1 and not meets2)
+                        assert (prov == "right") == (meets2 and not meets1)
+                        assert (prov == "both") == (not meets1
+                                                    and not meets2)
+                # a slide keeps s, so it moves inside G1 or inside G2,
+                # and one of the two product routes holds both its ends
+                assert d.extra_within[t] == ()
+                assert d.product_edges[t] == tuple(part.edges())
 
     def test_extreme_parts_are_plain_slide_graphs(self, rng):
         for spec in random_specs(rng, 4):

@@ -298,6 +298,35 @@ class TestInducedLaw:
         assert labelled_edges(sub) == {e for e in full_edges
                                        if all(s in want for s in e)}
 
+    @given(graphs(min_n=2, max_n=7), st.integers(min_value=1, max_value=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_restricts_the_full_build(self, g, k, rnd):
+        # the same masks as TS_k(g) keeps inside the region, in its
+        # order, and exactly the edges TS_k(g) has between them
+        region = VertexSet.of(rnd.sample(range(g.n), rnd.randint(1, g.n)),
+                              g.n)
+        sub = build_TSk_induced(g, k, region)
+        full = build_TSk(g, k)
+        kept = [i for i, m in enumerate(full.label_masks())
+                if m & ~region.mask == 0]
+        pos = {i: p for p, i in enumerate(kept)}
+        assert sub.label_masks() == tuple(full.label_masks()[i]
+                                          for i in kept)
+        assert sub.edges() == [(pos[i], pos[j]) for i, j in full.edges()
+                               if i in pos and j in pos]
+        assert sub.base is g and sub.k == k and sub.kind == "TSk"
+
+    def test_budget_counts_the_region(self, monkeypatch):
+        g, region = cycle(12), range(7)
+        size = build_TSk_induced(g, 3, region).num_nodes()
+        assert 0 < size < build_TSk(g, 3).num_nodes()
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(size))
+        assert build_TSk_induced(g, 3, region).num_nodes() == size
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(size - 1))
+        with pytest.raises(ExplosionCap):
+            build_TSk_induced(g, 3, region)
+
     def test_matches_standalone_build(self):
         g = cycle(6)
         sub = build_TSk_induced(g, 2, [0, 1, 2, 3])
