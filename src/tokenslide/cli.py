@@ -95,12 +95,24 @@ def _int_list(ints, nl):
     return "[" + inner + ("," + inner).join(map(str, ints)) + nl + "]"
 
 
+def _parse_json(source):
+    """The value of a JSON string or open text file; text that does not
+    decode, is not JSON or nests too deep to parse is an InputError."""
+    try:
+        return json.loads(source if isinstance(source, str) else source.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"bad JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError("bad JSON: nested too deeply") from None
+
+
 def _load_json_file(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
+        return _parse_json(fh)
 
 
 def _read_graph(args):
@@ -263,7 +275,7 @@ def _cmd_decompose(args):
     if args.spec:
         data = _load_json_file(args.spec)
     elif args.stdin:
-        data = json.load(sys.stdin)
+        data = _parse_json(sys.stdin)
     else:
         raise InputError("no JoinSpec given; use --spec or --stdin")
     dec = decompose_join(join_spec_from_json(data))
@@ -271,9 +283,9 @@ def _cmd_decompose(args):
     return 0
 
 
-def _json_pairs(text, what):
+def _json_pairs(source, what):
     """A JSON list; geometry checks its entries."""
-    raw = json.loads(text)
+    raw = _parse_json(source)
     if not isinstance(raw, list):
         raise InputError(f"{what} JSON must be a list of pairs")
     return raw
@@ -283,7 +295,7 @@ def _cmd_geom(args):
     if args.points:
         pts = _json_pairs(args.points, "points")
     elif args.stdin:
-        pts = _json_pairs(sys.stdin.read(), "points")
+        pts = _json_pairs(sys.stdin, "points")
     else:
         raise InputError("no points given; use --points or --stdin")
     out = {}
@@ -354,7 +366,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (InputError, json.JSONDecodeError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCap as exc:

@@ -4,10 +4,12 @@ Joining G1 and G2 along H1, H2 splits TS_k of the join into k+1
 node-disjoint parts by s = |S intersect V(G1)|. The parts are cut from
 the full slide graph. The two extreme parts are TS_k(G1) and TS_k(G2);
 each middle part is the union of two products, TS_s(G1) x TS_{k-s}(G2 -
-H2) and TS_s(G1 - H1) x TS_{k-s}(G2). These product routes are built as
-masks and checked against the part: together they must give its nodes,
-and their edges must be among its edges. Part edges no route gives are
-listed, so any gap between the product rule and the slide graph shows.
+H2) and TS_s(G1 - H1) x TS_{k-s}(G2). Each route is the `product` of two
+slide graphs induced in the join, its node (A, B) the stable set A | B,
+and is checked against the part: together the routes must give its
+nodes, and their edges must be among its edges. Part edges no route
+gives are listed, so any gap between the product rule and the slide
+graph shows.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from .errors import (InputError, MalformedJoinSpec, NoStableSetOfSizeK,
                      UniverseOverlap)
 from .graph import Graph, VertexSet, _as_vset, disjoint_union, join
-from .io import format_label, graph_from_json, graph_to_json
+from .io import _label_formatter, graph_from_json, graph_to_json
 from .reconf import LabeledGraph, build_TSk, build_TSk_induced
-from .stable import independent_sets_of_size
+from .stable import _max_stable_in_masks, independent_sets_of_size
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class JoinSpec:
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         for name, g in (("G1", self.g1), ("G2", self.g2)):
-            if not independent_sets_of_size(g, self.k):
+            if _max_stable_in_masks(g.n, g._adj, self.k) < self.k:
                 raise NoStableSetOfSizeK(
                     f"{name} has no stable set of size {self.k}")
 
@@ -73,28 +75,25 @@ def join_spec_from_json(data):
 def product(a, b):
     """The factor-move product of two labeled graphs.
 
-    Nodes are ordered label pairs; a move changes one factor along one
-    of its edges while the other factor stays put. Bases over the same
-    universe are kept in place and every label pair must be disjoint;
-    distinct bases are made disjoint by offsetting the right factor.
+    Node (i, j) is the union of a's label i and b's label j; a move
+    changes one factor along one of its edges while the other stays put.
+    Over a shared base every label pair must be disjoint; distinct bases
+    are made disjoint by offsetting the right factor.
     """
-    same = a.base is b.base or a.base == b.base
-    if same:
+    a_masks, b_masks = a.label_masks(), b.label_masks()
+    if a.base is b.base or a.base == b.base:
         base = a.base
-        lift_a = list(a.labels)
-        lift_b = list(b.labels)
-        for la in lift_a:
-            for lb in lift_b:
-                if la.mask & lb.mask:
+        for ma in a_masks:
+            for mb in b_masks:
+                if ma & mb:
                     raise UniverseOverlap(
-                        f"labels {la} and {lb} share vertices")
+                        f"labels {VertexSet(ma, base.n)} and "
+                        f"{VertexSet(mb, base.n)} share vertices")
     else:
-        off = a.base.n
         base = disjoint_union(a.base, b.base)
-        lift_a = [VertexSet(la.mask, base.n) for la in a.labels]
-        lift_b = [VertexSet(lb.mask << off, base.n) for lb in b.labels]
-    nb = b.num_nodes()
-    labels = tuple((la, lb) for la in lift_a for lb in lift_b)
+        b_masks = [mb << a.base.n for mb in b_masks]
+    nb = len(b_masks)
+    masks = tuple(ma | mb for ma in a_masks for mb in b_masks)
     # node (i, j) is i * nb + j, so its sorted row holds the left factor's
     # moves to i2 < i, then the right factor's moves, then those to i2 > i
     adj = []
@@ -107,33 +106,15 @@ def product(a, b):
                 + [i2 * nb + j for i2 in row_a if i2 > i]))
     k = (a.k + b.k) if (a.k is not None and b.k is not None) else None
     return LabeledGraph._unchecked("Product", base, tuple(adj), k=k,
-                                   labels=labels)
-
-
-def _slide_family(g, region, t):
-    """TS_t of g induced on region, as (mask, neighbour masks) pairs;
-    TS_0 is the one empty set."""
-    if t == 0:
-        return [(0, ())]
-    ts = build_TSk_induced(g, t, VertexSet(region, g.n))
-    masks = ts.label_masks()
-    return [(m, [masks[j] for j in ts.neighbors(i)])
-            for i, m in enumerate(masks)]
+                                   masks=masks)
 
 
 def _route(g, a_region, s, b_region, t):
-    """Nodes and edges, as masks, of TS_s(g[a_region]) x TS_t(g[b_region]):
-    a move slides one factor along its edge, the other stays put."""
-    nodes, edges = set(), set()
-    fb = _slide_family(g, b_region, t)
-    for a, a_moves in _slide_family(g, a_region, s):
-        for b, b_moves in fb:
-            m = a | b
-            nodes.add(m)
-            for m2 in [a2 | b for a2 in a_moves] + [a | b2 for b2 in b_moves]:
-                if m < m2:
-                    edges.add((m, m2))
-    return nodes, edges
+    """TS_s(g[a_region]) x TS_t(g[b_region]) in g's indexing; TS_0 = {empty
+    set} is the identity, so a side with no tokens gives the other alone."""
+    factors = [build_TSk_induced(g, u, VertexSet(region, g.n))
+               for region, u in ((a_region, s), (b_region, t)) if u]
+    return product(*factors) if len(factors) == 2 else factors[0]
 
 
 @dataclass(frozen=True)
@@ -158,29 +139,27 @@ class Decomposition:
     part_of: tuple
 
     def to_json(self):
+        fmt = _label_formatter(self.joined.n)
+        full = self.full.label_masks()
         out = {
             "k": self.spec.k,
             "join_nodes": self.joined.n,
             "full_nodes": self.full.num_nodes(),
             "full_edges": self.full.num_edges(),
             "parts": [],
-            "cross_edges": [
-                [format_label(self.full.label(i)),
-                 format_label(self.full.label(j))]
-                for i, j in self.cross_edges
-            ],
+            "cross_edges": [[fmt(full[i]), fmt(full[j])]
+                            for i, j in self.cross_edges],
         }
         for t, part in enumerate(self.parts):
+            masks = part.label_masks()
             out["parts"].append({
                 "s": self.part_s[t],
-                "nodes": [format_label(l) for l in part.labels],
+                "nodes": list(map(fmt, masks)),
                 "provenance": list(self.provenance[t]),
                 "edges": part.num_edges(),
                 "product_edges": len(self.product_edges[t]),
-                "extra_within": [
-                    [format_label(part.label(i)), format_label(part.label(j))]
-                    for i, j in self.extra_within[t]
-                ],
+                "extra_within": [[fmt(masks[i]), fmt(masks[j])]
+                                 for i, j in self.extra_within[t]],
             })
         return out
 
@@ -217,14 +196,17 @@ def decompose_join(spec):
             routes.append(("right", _route(g, g1_mask & ~h1_mask, s,
                                            g2_mask, k - s)))
         origin = {}
-        for name, (nodes, _) in routes:
-            for m in nodes:
+        for name, route in routes:
+            for m in route.label_masks():
                 origin[m] = "both" if m in origin else name
         if origin.keys() != local.keys():
             raise RuntimeError(
                 f"product routes do not give exactly the s = {s} part")
-        prod = {(min(local[a], local[b]), max(local[a], local[b]))
-                for _, (_, edges) in routes for a, b in edges}
+        prod = set()
+        for _, route in routes:
+            pos = [local[m] for m in route.label_masks()]
+            prod.update((min(pos[i], pos[j]), max(pos[i], pos[j]))
+                        for i, j in route.edges())
         induced = set(parts[-1].edges())
         if not prod <= induced:
             raise RuntimeError("product rule produced a non-slide edge")
@@ -254,5 +236,5 @@ def check_disconnection(spec, i):
         raise InputError(f"side must be 1 or 2, got {i}")
     g = spec.g1 if i == 1 else spec.g2
     h = spec.h1 if i == 1 else spec.h2
-    fam = independent_sets_of_size(g, spec.k)
-    return all((s.mask & h.mask).bit_count() != 1 for s in fam)
+    fam = independent_sets_of_size(g, spec.k).masks()
+    return all((m & h.mask).bit_count() != 1 for m in fam)

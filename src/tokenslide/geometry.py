@@ -267,11 +267,10 @@ def _edge_face_map(faces):
     return ef
 
 
-def _lawson(t_set, pts, max_flips=None):
+def _lawson(t_set, pts):
     """Flip lowest illegal diagonal until Delaunay; returns (set, count)."""
     t = set(t_set)
-    if max_flips is None:
-        max_flips = 4 * len(pts) ** 4 + 16
+    max_flips = 4 * len(pts) ** 4 + 16
     flips = 0
     while True:
         faces = _faces(sorted(t), pts)

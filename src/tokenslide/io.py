@@ -144,34 +144,19 @@ def _label_formatter(n):
     return fmt
 
 
-def _node_label(lab):
-    # composite product labels are (left, right) pairs
-    if isinstance(lab, tuple):
-        return format_label(lab[0]) + "|" + format_label(lab[1])
-    return format_label(lab)
-
-
-def _node_labels(lg):
-    """Display text of every node label of a LabeledGraph."""
-    masks = lg.label_masks()
-    if masks is not None:
-        return map(_label_formatter(lg.base.n), masks)
-    return map(_node_label, lg.labels)
-
-
 def export_dot(g, graph_name="G"):
     """DOT text for a Graph (vertex names) or LabeledGraph (set labels)."""
     lines = [f"graph {graph_name} {{"]
     if isinstance(g, Graph):
         for v in range(g.n):
-            # names are free text; set labels are digits, dashes and "|"
+            # names are free text; set labels are digits and dashes
             name = g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  v{v} [label="{name}"];')
         for u, v in g.edges():
             lines.append(f"  v{u} -- v{v};")
     else:
-        lines += [f'  n{i} [label="{text}"];'
-                  for i, text in enumerate(_node_labels(g))]
+        lines += [f'  n{i} [label="{text}"];' for i, text in
+                  enumerate(map(_label_formatter(g.base.n), g.label_masks()))]
         lines += [f"  n{i} -- n{j};" for i in range(g.num_nodes())
                   for j in g.neighbors(i) if j > i]
     lines.append("}")
@@ -180,17 +165,10 @@ def export_dot(g, graph_name="G"):
 
 def labeled_to_json(lg):
     """LabeledGraph JSON: kind, base, node label arrays, edge index pairs."""
-    masks = lg.label_masks()
-    if masks is not None:
-        nodes = [list(members(m)) for m in masks]
-    else:
-        nodes = [[list(lab[0].members()), list(lab[1].members())]
-                 if isinstance(lab, tuple) else list(lab.members())
-                 for lab in lg.labels]
     return {
         "kind": lg.kind,
-        "base": graph_to_json(lg.base) if lg.base is not None else None,
-        "nodes": nodes,
+        "base": graph_to_json(lg.base),
+        "nodes": [list(members(m)) for m in lg.label_masks()],
         "edges": [[i, j] for i in range(lg.num_nodes())
                   for j in lg.neighbors(i) if j > i],
     }

@@ -16,9 +16,8 @@ from .canon import is_isomorphic, iso_map
 from .enumeration import GRAPHS_MAX_N, enumerate_graphs
 from .errors import (ConditionViolated, CycleTooSmall, InputError, KMismatch,
                      NExceedsK, NotConnected, NotIndependent, NTooLarge)
-from .graph import (Graph, VertexSet, _as_vset, add_isolated, complement,
-                    complete, cycle, disjoint_union, make_graph, members, path,
-                    star)
+from .graph import (Graph, _as_vset, add_isolated, complement, complete,
+                    cycle, disjoint_union, make_graph, members, path, star)
 from .io import graph_to_json
 from .props import is_connected
 from .reconf import build_TSk
@@ -85,9 +84,8 @@ def realize_complete(n, k):
     ts = build_TSk(base, k)
     pad = ((1 << (k - 1)) - 1) << n
     witness = [0] * n
-    for i, lab in enumerate(ts.labels):
-        v = (lab.mask & ~pad).bit_length() - 1
-        witness[i] = v
+    for i, m in enumerate(ts.label_masks()):
+        witness[i] = (m & ~pad).bit_length() - 1
     return Realization(complete(n), k, base, tuple(witness))
 
 
@@ -99,8 +97,8 @@ def realize_path(n, k):
     ts = build_TSk(base, k)
     pad_mask = ((1 << (k - 2)) - 1) << (n + 1)
     witness = [0] * n
-    for i, lab in enumerate(ts.labels):
-        witness[i] = members(lab.mask & ~pad_mask)[0]  # pair is {i, i+1}
+    for i, m in enumerate(ts.label_masks()):
+        witness[i] = members(m & ~pad_mask)[0]  # pair is {i, i+1}
     return Realization(path(n), k, base, tuple(witness))
 
 
@@ -120,8 +118,8 @@ def realize_cycle(n, k):
     ts = build_TSk(base, k)
     pad_mask = ((1 << (k - 2)) - 1) << n
     witness = [0] * n
-    for i, lab in enumerate(ts.labels):
-        a, b = members(lab.mask & ~pad_mask)
+    for i, m in enumerate(ts.label_masks()):
+        a, b = members(m & ~pad_mask)
         # pair is a cycle edge {i, i+1} or the wrap pair {0, n-1}
         witness[i] = n - 1 if (a, b) == (0, n - 1) else a
     return Realization(cycle(n), k, base, tuple(witness))
@@ -140,12 +138,9 @@ def realize_star(n, k):
     a_mask = (1 << k) - 1
     ts = build_TSk(base, k)
     witness = [0] * (n + 1)
-    for i, lab in enumerate(ts.labels):
-        if lab.mask == a_mask:
-            witness[i] = 0  # center
-        else:
-            b = lab.mask >> k
-            witness[i] = b.bit_length()  # leaf index, 1-based
+    for i, m in enumerate(ts.label_masks()):
+        # the center, or a leaf by its 1-based index
+        witness[i] = 0 if m == a_mask else (m >> k).bit_length()
     return Realization(star(n), k, base, tuple(witness))
 
 
@@ -216,8 +211,7 @@ def realize_split(f, k):
     i_mask = (1 << (k - 1)) - 1
     ts = build_TSk(base, k)
     witness = [0] * f.n
-    for idx, lab in enumerate(ts.labels):
-        mask = lab.mask
+    for idx, mask in enumerate(ts.label_masks()):
         x_part = mask >> x0
         if x_part == 0:
             b = (mask >> b0) & ((1 << m) - 1)
@@ -276,14 +270,14 @@ def realize_disjoint_union(parts, k):
     for p in parts:
         t_offsets.append(t_off)
         t_off += p.target.n
-    part_ts = [build_TSk(p.base, k) for p in parts]
+    part_index = [{m: i for i, m in enumerate(part.label_masks())}
+                  for part in (build_TSk(p.base, k) for p in parts)]
     ts = build_TSk(base, k)
     witness = [0] * ts.num_nodes()
-    for i, lab in enumerate(ts.labels):
-        lo = members(lab.mask)[0]
+    for i, m in enumerate(ts.label_masks()):
+        lo = members(m)[0]
         pi = max(j for j in range(len(parts)) if offsets[j] <= lo)
-        local = VertexSet(lab.mask >> offsets[pi], parts[pi].base.n)
-        li = part_ts[pi].index_of(local)
+        li = part_index[pi][m >> offsets[pi]]
         witness[i] = parts[pi].witness_iso[li] + t_offsets[pi]
     return Realization(target, k, base, tuple(witness))
 

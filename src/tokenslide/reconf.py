@@ -1,12 +1,13 @@
 """Reconfiguration-graph builders: TS_k, TS, L_k, and the token graph F_k.
 
-Nodes carry labels (vertex sets of the base graph), and every builder's
-edges are single-token moves, never found by comparing all pairs. TS_k,
-TS and F_k slide a token along an edge of the base graph: _slide_edges
-moves each token of a node along each edge and looks the result up in
-the node index, O(nodes * k * degree). L_k (and geometry's flip graph)
-swap one element for any other: _swap_edges groups the nodes by their
-shared (k-1)-subsets, k dictionary operations per node.
+Nodes carry labels, vertex sets of the base graph held as bit masks,
+and every builder's edges are single-token moves, never found by
+comparing all pairs. TS_k, TS and F_k slide a token along an edge of the
+base graph: _slide_edges moves each token of a node along each edge and
+looks the result up in the node index, O(nodes * k * degree). L_k (and
+geometry's flip graph) swap one element for any other: _swap_edges
+groups the nodes by their shared (k-1)-subsets, k dictionary operations
+per node.
 """
 
 from __future__ import annotations
@@ -26,26 +27,31 @@ KINDS = ("TSk", "TS", "Lk", "Fk", "Flip", "Product", "Abstract")
 class LabeledGraph:
     """A graph whose nodes are labeled vertex sets of a base graph.
 
-    Product nodes carry composite labels: ordered (left, right) pairs of
-    VertexSet. Adjacency rows are sorted, symmetric and loopless; labels
-    are distinct. The public constructor checks all of this
-    (check_labeled_graph); the package's own builders use _unchecked.
+    Every label is held as a bit mask over the base's vertices; a
+    product node (A, B) is the union A | B. Adjacency rows are sorted,
+    symmetric and loopless; labels are distinct. The public constructor
+    takes VertexSet labels and checks all of this (check_labeled_graph);
+    the package's own builders use _unchecked.
     """
 
     __slots__ = ("kind", "base", "_labels", "_masks", "_adj", "k", "_index")
 
     def __init__(self, kind, base, labels, adj, k=None):
-        _fill(self, kind, base, tuple(labels), None,
+        labels = tuple(labels)
+        n = getattr(base, "n", None)
+        if n is None or not all(isinstance(lab, VertexSet) and lab.n == n
+                                for lab in labels):
+            raise ValueError("labels must be VertexSets over the base")
+        _fill(self, kind, base, tuple(lab.mask for lab in labels),
               tuple(tuple(sorted(row)) for row in adj), k)
         check_labeled_graph(self)
 
     @classmethod
-    def _unchecked(cls, kind, base, adj, k=None, masks=None, labels=None):
+    def _unchecked(cls, kind, base, adj, k=None, *, masks):
         """A builder's output, taken as it is: adj a tuple of sorted
-        tuples, and either set labels as masks over base's vertices or
-        the labels themselves."""
+        tuples, and the labels as masks over base's vertices."""
         lg = object.__new__(cls)
-        _fill(lg, kind, base, labels, masks, adj, k)
+        _fill(lg, kind, base, masks, adj, k)
         return lg
 
     def __setattr__(self, name, value):
@@ -61,15 +67,7 @@ class LabeledGraph:
         return self._labels
 
     def label_masks(self):
-        """Node labels as bit masks over the base, or None for labels
-        that are not vertex sets of the base (product pairs)."""
-        if self._masks is None:
-            n = None if self.base is None else self.base.n
-            if not all(isinstance(lab, VertexSet) and lab.n == n
-                       for lab in self._labels):
-                return None
-            object.__setattr__(self, "_masks",
-                               tuple(lab.mask for lab in self._labels))
+        """Node labels as bit masks over the base."""
         return self._masks
 
     def num_nodes(self):
@@ -91,21 +89,17 @@ class LabeledGraph:
     def label(self, i):
         return self.labels[i]
 
-    def _label_index(self):
+    def index_of(self, label):
+        """Node index of a label; raises KeyError if absent."""
         if self._index is None:
             object.__setattr__(self, "_index", {
                 lab: i for i, lab in enumerate(self.labels)})
-        return self._index
-
-    def index_of(self, label):
-        """Node index of a label; raises KeyError if absent."""
-        return self._label_index()[label]
+        return self._index[label]
 
     def _label_sizes(self):
-        masks = self.label_masks() if self.kind == "TS" else None
-        if masks is None:
+        if self.kind != "TS":
             raise ValueError("not a layered graph")
-        return [m.bit_count() for m in masks]
+        return [m.bit_count() for m in self._masks]
 
     def layer(self, k):
         """Node indices of the size-k layer (TS graphs only)."""
@@ -127,8 +121,8 @@ class LabeledGraph:
                 f"edges={self.num_edges()})")
 
 
-def _fill(lg, kind, base, labels, masks, adj, k):
-    for name, value in (("kind", kind), ("base", base), ("_labels", labels),
+def _fill(lg, kind, base, masks, adj, k):
+    for name, value in (("kind", kind), ("base", base), ("_labels", None),
                         ("_masks", masks), ("_adj", adj), ("k", k),
                         ("_index", None)):
         object.__setattr__(lg, name, value)
@@ -137,21 +131,20 @@ def _fill(lg, kind, base, labels, masks, adj, k):
 def check_labeled_graph(lg):
     """Raise ValueError unless lg is well formed.
 
-    Checks the kind, one sorted, loopless, symmetric adjacency row per
-    label, distinct labels, and for TSk that every label is an
-    independent set of size k of the base.
+    Checks the kind, distinct label masks over the base's vertices, one
+    sorted, loopless, symmetric adjacency row per label, and for TSk
+    that every label is an independent set of size k of the base.
     """
     if lg.kind not in KINDS:
         raise ValueError(f"unknown kind {lg.kind!r}")
-    labels, adj = lg.labels, lg._adj
-    if len(adj) != len(labels):
+    masks, adj = lg._masks, lg._adj
+    if len(adj) != len(masks):
         raise ValueError("adjacency size does not match label count")
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise ValueError(f"duplicate node label {lab}")
-        seen.add(lab)
-    m = len(labels)
+    if len(set(masks)) != len(masks):
+        raise ValueError("duplicate node labels")
+    if any(m < 0 or m >> lg.base.n for m in masks):
+        raise ValueError("a label is not a set of the base's vertices")
+    m = len(masks)
     for i, row in enumerate(adj):
         if list(row) != sorted(row):
             raise ValueError(f"adjacency row {i} is not sorted")
@@ -160,13 +153,13 @@ def check_labeled_graph(lg):
                 raise ValueError(f"loop at node {i}")
             if not 0 <= j < m or i not in adj[j]:
                 raise ValueError(f"asymmetric adjacency at ({i},{j})")
-    if lg.kind == "TSk" and lg.base is not None:
-        for lab in labels:
-            if len(lab) != lg.k:
-                raise ValueError(f"label {lab} does not have size {lg.k}")
-            for v in lab.members():
-                if lg.base.adjacency_mask(v) & lab.mask:
-                    raise ValueError(f"label {lab} is not independent")
+    if lg.kind == "TSk":
+        for mask in masks:
+            if mask.bit_count() != lg.k:
+                raise ValueError(
+                    f"label {members(mask)} does not have size {lg.k}")
+            if any(lg.base.adjacency_mask(v) & mask for v in members(mask)):
+                raise ValueError(f"label {members(mask)} is not independent")
 
 
 def _slide_edges(g, masks):

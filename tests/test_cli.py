@@ -454,7 +454,9 @@ class TestHarness:
         "spec-missing-keys", "spec-not-an-object", "spec-k-not-an-integer",
         "spec-h1-not-a-list", "spec-k-boolean", "spec-h1-boolean",
         "json-n-boolean", "json-edge-boolean", "point-boolean",
-        "lawson-segment-boolean"])
+        "lawson-segment-boolean", "json-file-not-utf8", "spec-file-not-utf8",
+        "json-file-too-deep", "spec-too-deep", "points-too-deep",
+        "spec-stdin-not-utf8"])
     def test_bad_input_is_exit_2(self, case, capsys, monkeypatch, tmp_path):
         g6 = write_graph6(path(3))
         graph_file = tmp_path / "g.json"
@@ -465,6 +467,12 @@ class TestHarness:
         edge_bool_file.write_text(json.dumps({"n": 2,
                                               "edges": [[False, True]]}))
         missing = str(tmp_path / "missing.json")
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b'{"n": 1, "edges": [], "names": ["\xff"]}')
+        # deeper than the parser's recursion limit
+        too_deep = "[" * 100_000 + "]" * 100_000
+        too_deep_file = tmp_path / "too_deep.json"
+        too_deep_file.write_text(too_deep)
         argv = {
             "build-k-zero": ["build", "--graph6", g6, "--k", "0"],
             "analyze-ts-zero": ["analyze", "--graph6", g6, "--ts", "0"],
@@ -494,6 +502,13 @@ class TestHarness:
                 "geom", "--points", PTS_JSON, "--lawson",
                 "[[false,true],[0,2],[0,3],[0,4],[0,5],[1,2],[1,5],[2,3],"
                 "[2,4],[2,5],[3,4]]"],
+            "json-file-not-utf8": ["build", "--json", str(not_utf8),
+                                   "--k", "1"],
+            "spec-file-not-utf8": ["decompose", "--spec", str(not_utf8)],
+            "json-file-too-deep": ["analyze", "--json", str(too_deep_file)],
+            "spec-too-deep": ["decompose", "--stdin"],
+            "points-too-deep": ["geom", "--stdin", "--check"],
+            "spec-stdin-not-utf8": ["decompose", "--stdin"],
         }[case]
         if case == "budget-not-an-integer":
             monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "abc")
@@ -502,8 +517,13 @@ class TestHarness:
                  "spec-k-not-an-integer": json.dumps({**spec, "k": "1"}),
                  "spec-h1-not-a-list": json.dumps({**spec, "h1": 3}),
                  "spec-k-boolean": json.dumps({**spec, "k": True}),
-                 "spec-h1-boolean": json.dumps({**spec, "h1": [True]})}
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin.get(case, "")))
+                 "spec-h1-boolean": json.dumps({**spec, "h1": [True]}),
+                 "spec-too-deep": too_deep, "points-too-deep": too_deep}
+        stdin = io.StringIO(stdin.get(case, ""))
+        if case == "spec-stdin-not-utf8":  # stdin that decodes strictly
+            stdin = io.TextIOWrapper(io.BytesIO(b'{"k": "\xff"}'),
+                                     encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, *argv)
         assert code == 2, err
         assert out == ""
@@ -554,6 +574,11 @@ class TestHarness:
             st.lists(inner, max_size=3),
             st.dictionaries(st.sampled_from(["n", "edges", "names", "x"]),
                             inner, max_size=3)), max_leaves=6))
+    # a graph file's bytes: mostly JSON, sometimes raw bytes, which need
+    # not be UTF-8
+    _graph_files = st.one_of(
+        _json_graphs.map(lambda obj: json.dumps(obj).encode()),
+        st.binary(max_size=24))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None,
@@ -570,7 +595,7 @@ class TestHarness:
                 min_size=1, max_size=8))]
         else:
             graph_file = tmp_path / "g.json"
-            graph_file.write_text(json.dumps(data.draw(self._json_graphs)))
+            graph_file.write_bytes(data.draw(self._graph_files))
             argv = ["--json", str(graph_file)]
         k = data.draw(st.one_of(st.none(), st.integers(-2, 5)))
         every = data.draw(st.booleans())

@@ -68,6 +68,12 @@ class TestJoinSpec:
         with pytest.raises(NoStableSetOfSizeK):
             JoinSpec(path(5), complete(3), [0], [0], 2)
 
+    def test_existence_needs_no_enumeration(self):
+        # each side holds C(30, 8) = 5,852,925 stable 8-sets, more than
+        # the default node budget; one of them is enough
+        spec = JoinSpec(make_graph(30, []), make_graph(30, []), [0], [0], 8)
+        assert spec.k == 8
+
     def test_joined(self):
         spec = fig_disconnection_spec()
         j = spec.joined()
@@ -90,14 +96,15 @@ class TestProduct:
         assert p.kind == "Product"
 
     def test_label_pairs_offset(self):
+        # node (i, j) is labeled with a's label i joined to b's label j,
+        # shifted past a's two vertices: each union splits at the offset
         a = build_TSk(path(2), 1)
-        b = build_TSk(path(3), 1)
+        b = build_TSk(cycle(4), 2)
         p = product(a, b)
-        assert p.base.n == 5
-        for la, lb in p.labels:
-            assert la.mask & lb.mask == 0
-            assert max(la.members()) < 2
-            assert min(lb.members()) >= 2
+        assert p.base.n == 6
+        assert all(lab.n == 6 for lab in p.labels)
+        assert [(m & 0b11, m >> 2) for m in p.label_masks()] == [
+            (ma, mb) for ma in a.label_masks() for mb in b.label_masks()]
 
     def test_edge_count_formula(self, rng):
         for _ in range(10):

@@ -384,6 +384,18 @@ class TestLabeledGraphValidation:
         with pytest.raises(Exception):
             LabeledGraph("Abstract", base, labels, [set(), set()])
 
+    @pytest.mark.parametrize("base,labels", [
+        (path(3), [VertexSet.of([0, 9], 12), VertexSet.of([1], 2)]),
+        (path(3), [VertexSet.of([0], 3), VertexSet.of([1], 4)]),
+        (path(4), [(VertexSet.of([0], 4), VertexSet.of([2], 4)),
+                   (VertexSet.of([1], 4), VertexSet.of([3], 4))]),
+        (path(3), [0b001, 0b100]),
+        (None, [VertexSet.of([0], 3), VertexSet.of([2], 3)]),
+    ], ids=["other-hosts", "one-other-host", "pairs", "masks", "no-base"])
+    def test_labels_must_be_vertex_sets_of_the_base(self, base, labels):
+        with pytest.raises(ValueError, match="VertexSets over the base"):
+            LabeledGraph("Abstract", base, labels, [[1], [0]])
+
     def test_labels_must_be_independent_for_tsk(self):
         base = path(2)
         labels = [VertexSet.of([0, 1], 2)]

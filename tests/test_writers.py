@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from tokenslide import (
     LabeledGraph,
-    VertexSet,
     build_Fk,
     build_TS,
     build_TSk,
@@ -76,13 +75,6 @@ def _reference_format_label(vs):
     return "-".join(str(v) for v in members)
 
 
-def _reference_node_label(lab):
-    if isinstance(lab, tuple):
-        return (_reference_format_label(lab[0]) + "|"
-                + _reference_format_label(lab[1]))
-    return _reference_format_label(lab)
-
-
 def reference_export_dot(g, graph_name="G"):
     """The DOT writer as it was before labels were formatted from masks."""
     lines = [f"graph {graph_name} {{"]
@@ -95,7 +87,7 @@ def reference_export_dot(g, graph_name="G"):
     else:
         for i in range(g.num_nodes()):
             lines.append(
-                f'  n{i} [label="{_reference_node_label(g.labels[i])}"];')
+                f'  n{i} [label="{_reference_format_label(g.labels[i])}"];')
         for i, j in g.edges():
             lines.append(f"  n{i} -- n{j};")
     lines.append("}")
@@ -124,14 +116,6 @@ class TestDotWriter:
     def test_set_labels(self, lg):
         assert export_dot(lg) == reference_export_dot(lg)
         assert export_dot(_public_copy(lg)) == reference_export_dot(lg)
-
-    def test_labels_of_another_host_size(self):
-        # labels over a host other than the base: formatted by their own n
-        base = path(3)
-        lg = LabeledGraph("Abstract", base,
-                          [VertexSet.of([0, 9], 12), VertexSet.of([1], 2)],
-                          [[1], [0]])
-        assert export_dot(lg) == reference_export_dot(lg)
 
     @pytest.mark.parametrize("a,b", [
         (build_TSk(path(3), 1), build_TSk(cycle(4), 2)),    # host 7
