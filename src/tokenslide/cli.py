@@ -1,15 +1,18 @@
 """Command line front end.
 
 Subcommands: gen, build, analyze, realize, decompose, geom, search.
-Exit codes: 0 success, 2 input error, 3 resource cap, 4 internal error.
-All JSON output is key-sorted so identical inputs give identical bytes;
-wall-clock timing goes to stderr only.
+Exit codes: 0 success, 1 the reader closed stdout, 2 input error,
+3 resource cap, 4 internal error. All JSON output is key-sorted so
+identical inputs give identical bytes; wall-clock timing goes to stderr
+only. JSON and DOT are written to stdout in chunks as they are
+formatted, never assembled whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from itertools import chain
@@ -21,8 +24,8 @@ from .geometry import (check_general_position, delaunay, flip_graph,
                        lawson_distance, triangulations)
 from .graph import (complete, complete_bipartite, complete_minus_edge, cycle,
                     path, star)
-from .io import (export_dot, graph_from_json, labeled_to_json, parse_graph6,
-                 write_graph6)
+from .io import (CHUNK_ROWS, export_dot, graph_from_json, labeled_to_json,
+                 parse_graph6, write_graph6)
 from .props import analyze
 from .realize import (Realization, realize_complete, realize_cycle,
                       realize_path, realize_split, realize_star,
@@ -42,7 +45,9 @@ FAMILIES = {
 
 
 def _emit(obj):
-    print(_dumps(obj))
+    """Write _dumps(obj) and a newline to stdout, a piece at a time."""
+    _encode(obj, "\n", sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def _dumps(obj):
@@ -67,8 +72,13 @@ def _encode(obj, nl, write):
             write(_int_list(obj, nl))
         elif types == {list} and {int} >= set(
                 map(type, chain.from_iterable(obj))):
-            write("[" + inner + ("," + inner).join(
-                [_int_list(row, inner) for row in obj]) + nl + "]")
+            sep = "[" + inner
+            for start in range(0, len(obj), CHUNK_ROWS):
+                write(sep + ("," + inner).join(
+                    [_int_list(row, inner)
+                     for row in obj[start:start + CHUNK_ROWS]]))
+                sep = "," + inner
+            write(nl + "]")
         else:
             sep = "["
             for x in obj:
@@ -228,7 +238,7 @@ def _cmd_build(args):
     _require_k(args.k, "--k")
     lab = build_TS(g) if args.all else build_TSk(g, args.k)
     if args.format == "dot":
-        sys.stdout.write(export_dot(lab))
+        export_dot(lab, write=sys.stdout.write)
     else:
         _emit(labeled_to_json(lab))
     return 0
@@ -365,7 +375,14 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered nowhere,
+        # so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,21 @@
 graph6 is the interchange format (one graph per line). The JSON form is
 {"n": int, "edges": [[u, v], ...], "names": [...] or null} with edges
 sorted lexicographically.
+
+The DOT writer, like the CLI's JSON writer, formats its output
+CHUNK_ROWS lines (or JSON rows) at a time and hands each chunk to a
+write callable, so printing a graph never holds its whole text.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import MalformedGraph6, NExceedsWidth
 from .graph import WIDTH_MAX, Graph, VertexSet, make_graph, members
+
+# lines (DOT) or list rows (JSON) formatted per write call
+CHUNK_ROWS = 4096
 
 
 def write_graph6(g):
@@ -144,23 +153,35 @@ def _label_formatter(n):
     return fmt
 
 
-def export_dot(g, graph_name="G"):
-    """DOT text for a Graph (vertex names) or LabeledGraph (set labels)."""
-    lines = [f"graph {graph_name} {{"]
+def export_dot(g, graph_name="G", write=None):
+    """DOT text for a Graph (vertex names) or LabeledGraph (set labels).
+
+    The node lines, then the edge lines, are formatted CHUNK_ROWS at a
+    time and each chunk is passed to write, so no copy of the whole text
+    is held; the result is None. Without write, the chunks are joined and
+    the text is returned.
+    """
+    if write is None:
+        out = []
+        export_dot(g, graph_name, out.append)
+        return "".join(out)
     if isinstance(g, Graph):
-        for v in range(g.n):
-            # names are free text; set labels are digits and dashes
-            name = g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  v{v} [label="{name}"];')
-        for u, v in g.edges():
-            lines.append(f"  v{u} -- v{v};")
+        # names are free text; set labels are digits and dashes
+        names = (g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
+                 for v in range(g.n))
+        nodes = (f'  v{v} [label="{name}"];\n'
+                 for v, name in enumerate(names))
+        edges = (f"  v{u} -- v{v};\n" for u, v in g.edges())
     else:
-        lines += [f'  n{i} [label="{text}"];' for i, text in
-                  enumerate(map(_label_formatter(g.base.n), g.label_masks()))]
-        lines += [f"  n{i} -- n{j};" for i in range(g.num_nodes())
-                  for j in g.neighbors(i) if j > i]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes = (f'  n{i} [label="{text}"];\n' for i, text in
+                 enumerate(map(_label_formatter(g.base.n), g.label_masks())))
+        edges = (f"  n{i} -- n{j};\n" for i in range(g.num_nodes())
+                 for j in g.neighbors(i) if j > i)
+    write(f"graph {graph_name} {{\n")
+    for lines in (nodes, edges):
+        while chunk := "".join(islice(lines, CHUNK_ROWS)):
+            write(chunk)
+    write("}\n")
 
 
 def labeled_to_json(lg):

@@ -2,13 +2,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tokenslide
 from tokenslide import (
     InputError,
     add_isolated,
@@ -35,6 +40,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env():
+    """The environment with this tokenslide first on PYTHONPATH, so a child
+    process imports the same package as the tests."""
+    pkg_root = str(Path(tokenslide.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_json(capsys, *argv):
@@ -719,13 +734,7 @@ class TestHarness:
         from a source checkout, runs the ``[project.scripts]`` entry point
         of pyproject.toml through the same snippet pip's wrapper uses.
         """
-        import os
         import shutil
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import tokenslide
 
         args = ["gen", "--family", "path", "--n", "3"]
         exe = shutil.which("tokenslide")
@@ -741,11 +750,26 @@ class TestHarness:
             snippet = (f"import sys; from {module} import {func}; "
                        f"sys.exit({func}())")
             cmd = [sys.executable, "-c", snippet, *args]
-            pkg_root = str(Path(tokenslide.__file__).resolve().parents[1])
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+            env = package_env()
 
         r = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == write_graph6(path(3))
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_reader_closing_stdout_is_exit_1(self, fmt):
+        """A reader that stops early, like `| head -c 100`, ends the run
+        with exit 1 and no traceback. TS_5(P_24) prints 1.6 MB as DOT and
+        more as JSON, far past a pipe's buffer, so the writer is still
+        writing when the pipe closes."""
+        cmd = [sys.executable, "-m", "tokenslide.cli", "build", "--graph6",
+               write_graph6(path(24)), "--k", "5", "--format", fmt]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=package_env())
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, err
+        assert len(head) == 100
+        assert err == ""  # no traceback, no "Exception ignored" at exit

@@ -2,10 +2,18 @@
 
 cli._dumps is checked against json.dumps(obj, sort_keys=True, indent=2),
 and io.export_dot against a reference copy of the DOT writer that formats
-every label from its VertexSet.
+every label from its VertexSet. The streamed output the CLI prints, a
+chunk at a time, is checked against the joined text, and its memory
+against the size of that text.
 """
 
+import contextlib
+import io
 import json
+import math
+import tracemalloc
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +29,12 @@ from tokenslide import (
     make_graph,
     path,
 )
-from tokenslide.cli import _dumps
+import tokenslide.cli
+import tokenslide.io
+from tokenslide.cli import _dumps, _emit, main
 from tokenslide.decompose import product
 from tokenslide.graph import Graph
-from tokenslide.io import export_dot
+from tokenslide.io import export_dot, write_graph6
 
 
 # ---------------------------------------------------------------------------
@@ -126,3 +136,101 @@ class TestDotWriter:
     def test_product_pair_labels(self, a, b):
         p = product(a, b)
         assert export_dot(p) == reference_export_dot(p)
+
+
+# ---------------------------------------------------------------------------
+# Streaming
+
+
+class _Discard:
+    """A stdout that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _chunk_rows(size):
+    """Patch the chunk size of both writers (the CLI imports it by name)."""
+    stack = contextlib.ExitStack()
+    for module in (tokenslide.io, tokenslide.cli):
+        stack.enter_context(mock.patch.object(module, "CHUNK_ROWS", size))
+    return stack
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+NAMED = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+                   names=['a"b', "c\\d", 'e\\"', "plain", ""])
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
+    @pytest.mark.parametrize("g,k", [(path(20), 5), (NAMED, None),
+                                     (NAMED, 2)],
+                             ids=["P20-k5", "named-all", "named-k2"])
+    def test_build_dot_prints_export_dot(self, tmp_path, chunk, g, k):
+        # P_20 has 4,368 stable 5-sets, past one chunk of the default size
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps(tokenslide.io.graph_to_json(g)))
+        mode = ["--all"] if k is None else ["--k", str(k)]
+        with _chunk_rows(chunk):
+            out = _stdout_of(["build", "--json", str(graph_file), *mode,
+                              "--format", "dot"])
+        lab = build_TS(g) if k is None else build_TSk(g, k)
+        assert out == export_dot(lab) == reference_export_dot(lab)
+
+    @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
+    @pytest.mark.parametrize("g", [NAMED, build_TSk(cycle(9), 3),
+                                   build_TS(path(7)), make_graph(0, [])],
+                             ids=["named", "C9-k3", "P7-all", "empty"])
+    def test_one_write_per_chunk(self, chunk, g):
+        if isinstance(g, Graph):
+            rows = (g.n, len(g.edges()))
+        else:
+            rows = (g.num_nodes(), g.num_edges())
+        pieces = []
+        with _chunk_rows(chunk):
+            assert export_dot(g, "N", pieces.append) is None
+        assert "".join(pieces) == reference_export_dot(g, "N")
+        assert len(pieces) == 2 + sum(math.ceil(r / chunk) for r in rows)
+
+    @pytest.mark.parametrize("chunk", [1, 2, tokenslide.io.CHUNK_ROWS])
+    @given(obj=json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_emit_prints_dumps(self, chunk, obj):
+        out = io.StringIO()
+        with _chunk_rows(chunk), contextlib.redirect_stdout(out):
+            _emit(obj)
+        assert out.getvalue() == _dumps(obj) + "\n"
+        assert out.getvalue() == json.dumps(obj, sort_keys=True,
+                                            indent=2) + "\n"
+
+    def test_build_dot_memory_is_bounded(self):
+        """Printing TS_5(P_24) as DOT holds no copy of its 1.6 MB text."""
+        argv = ["build", "--graph6", write_graph6(path(24)), "--k", "5",
+                "--format", "dot"]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def run_cli():
+            with contextlib.redirect_stdout(_Discard()):
+                assert main(argv) == 0
+
+        run_cli()  # caches filled on a first call do not count
+        build_peak = peak(lambda: build_TSk(path(24), 5))
+        text = len(export_dot(build_TSk(path(24), 5)))
+        assert peak(run_cli) - build_peak < text / 10
