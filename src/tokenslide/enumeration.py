@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import networkx as nx
-
 from .canon import _automorphisms, canonical_form
 from .errors import NTooLarge
 from .graph import Graph, make_graph, members
@@ -32,6 +30,8 @@ def enumerate_trees(n):
     if n == 1:
         trees = [make_graph(1, [])]
     else:
+        import networkx as nx  # only here, so other commands never load it
+
         trees = [make_graph(n, t.edges()) for t in nx.nonisomorphic_trees(n)]
     return sorted(trees, key=canonical_form)
 

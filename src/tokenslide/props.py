@@ -2,7 +2,9 @@
 girth, cliques and connectivity.
 
 All functions accept either a Graph or a LabeledGraph. Searches walk
-neighbor lists, so node counts are not width-limited. The clique search
+neighbor lists, so node counts are not width-limited. Planarity is an
+in-package yes/no left-right test (Brandes 2009) over int lists; the
+Kuratowski witness is found with it alone. The clique search
 takes the nodes in a degeneracy order and runs the maximum-stable-set
 search of stable.py on the complement of each node's later neighbours,
 over local indices, so its bit masks are at most the degeneracy wide.
@@ -13,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Optional, Union
-
-import networkx as nx
 
 from . import config
 from .canon import _as_adj
@@ -78,14 +79,190 @@ def classify_subdivision(n, edges):
 
 
 def _planar(edges):
-    """Yes/no planarity of an edge list: Euler's bound m <= 3n - 6 over
-    its n >= 3 vertices, then the left-right test (Brandes 2009)."""
-    n = len({v for e in edges for v in e})
-    if n >= 3 and len(edges) > 3 * n - 6:
+    """Yes/no planarity of the edge list of a simple graph: Euler's bound
+    m <= 3n - 6 over its n >= 3 vertices, then the left-right test
+    (Brandes 2009, after de Fraysseix and Rosenstiehl) without building
+    an embedding.
+
+    The vertices are renumbered 0..n-1 (a witness search tests small
+    subsets of large graphs) and index plain lists; edge e is edges[e],
+    oriented away from src[e] by the first DFS. A conflict pair is a list
+    [left low, left high, right low, right high] of edge ids, -1 where an
+    interval end is empty. Both DFS phases run on explicit stacks.
+    """
+    m = len(edges)
+    verts = set(chain.from_iterable(edges))
+    n = len(verts)
+    if n >= 3 and m > 3 * n - 6:
         return False
-    h = nx.Graph()
-    h.add_edges_from(edges)
-    return nx.check_planarity(h)[0]
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[] for _ in range(n)]
+    ends = [0] * m  # a ^ b, so the far end of e from v is ends[e] ^ v
+    for e, (a, b) in enumerate(edges):
+        a = index[a]
+        b = index[b]
+        adj[a].append(e)
+        adj[b].append(e)
+        ends[e] = a ^ b
+
+    # orientation: DFS heights, lowpoints and nesting depths
+    height = [-1] * n
+    parent = [-1] * n  # tree edge into each vertex
+    ind = [0] * n  # next position in each vertex's list
+    src = [-1] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out = [[] for _ in range(n)]
+    roots = []
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            row = adj[v]
+            i = ind[v]
+            while i < len(row) and src[row[i]] >= 0:
+                i += 1  # oriented from its other end
+            ind[v] = i + 1
+            if i < len(row):
+                e = row[i]
+                src[e] = v
+                out[v].append(e)
+                w = ends[e] ^ v
+                lowpt[e] = lowpt2[e] = height[v]
+                if height[w] < 0:  # tree edge: finished once w is
+                    parent[w] = e
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue
+                lowpt[e] = height[w]  # back edge, to an ancestor
+            else:
+                stack.pop()
+                e = parent[v]
+                if e < 0:
+                    continue
+                v = src[e]
+            # e leaves v and is finished: fold it into v's parent edge
+            low = lowpt[e]
+            nesting[e] = 2 * low + (lowpt2[e] < height[v])
+            pe = parent[v]
+            if pe >= 0:
+                if low < lowpt[pe]:
+                    lowpt2[pe] = min(lowpt[pe], lowpt2[e])
+                    lowpt[pe] = low
+                elif low > lowpt[pe]:
+                    lowpt2[pe] = min(lowpt2[pe], low)
+                else:
+                    lowpt2[pe] = min(lowpt2[pe], lowpt2[e])
+    for row in out:
+        row.sort(key=nesting.__getitem__)
+
+    # testing: merge the return edges of each out-edge into conflict pairs
+    pairs = []
+    ref = [-1] * (m + 1)  # writes through an empty end (-1) land in ref[m]
+    lowpt_edge = [-1] * m
+    bottom = [-1] * m  # stack height when each edge was entered
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            e = parent[v]
+            row = out[v]
+            i = ind[v]
+            while i < len(row):
+                ei = row[i]
+                if bottom[ei] < 0:
+                    bottom[ei] = len(pairs)
+                    w = ends[ei] ^ v
+                    if parent[w] == ei:  # tree edge: resume here after w
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei
+                    pairs.append([-1, -1, ei, ei])
+                i += 1
+                lei = lowpt[ei]
+                if lei >= hv:
+                    continue
+                if i == 1:  # the first out-edge returns lowest
+                    lowpt_edge[e] = lowpt_edge[ei]
+                    continue
+                # add constraints of ei: its return edges go right
+                p = [-1, -1, -1, -1]
+                le = lowpt[e]
+                while True:
+                    q = pairs.pop()
+                    if q[0] >= 0 or q[1] >= 0:
+                        q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                    if q[0] >= 0 or q[1] >= 0:
+                        return False  # they cannot all go one side
+                    if lowpt[q[2]] > le:  # merge intervals
+                        if p[2] < 0 and p[3] < 0:
+                            p[3] = q[3]
+                        else:
+                            ref[p[2]] = q[3]
+                        p[2] = q[2]
+                    else:  # align
+                        ref[q[2]] = lowpt_edge[e]
+                    if len(pairs) == bottom[ei]:
+                        break
+                # conflicting return edges of earlier out-edges go left
+                while pairs:
+                    q = pairs[-1]
+                    if q[3] >= 0 and lowpt[q[3]] > lei:
+                        if q[1] >= 0 and lowpt[q[1]] > lei:
+                            return False  # both sides conflict
+                        q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                    elif not (q[1] >= 0 and lowpt[q[1]] > lei):
+                        break
+                    pairs.pop()
+                    ref[p[2]] = q[3]
+                    if q[2] >= 0:
+                        p[2] = q[2]
+                    if p[0] < 0 and p[1] < 0:
+                        p[1] = q[1]
+                    else:
+                        ref[p[0]] = q[1]
+                    p[0] = q[0]
+                if p != [-1, -1, -1, -1]:
+                    pairs.append(p)
+            else:
+                stack.pop()
+                if e < 0:
+                    continue
+                # remove back edges returning to the parent u of v
+                u = src[e]
+                while pairs:
+                    q = pairs[-1]
+                    if q[0] < 0 and q[1] < 0:
+                        lowest = lowpt[q[2]]
+                    elif q[2] < 0 and q[3] < 0:
+                        lowest = lowpt[q[0]]
+                    else:
+                        lowest = min(lowpt[q[0]], lowpt[q[2]])
+                    if lowest != height[u]:
+                        break
+                    pairs.pop()
+                if pairs:  # trim the top pair's intervals
+                    q = pairs[-1]
+                    while q[1] >= 0 and ends[q[1]] ^ src[q[1]] == u:
+                        q[1] = ref[q[1]]
+                    if q[1] < 0 and q[0] >= 0:
+                        ref[q[0]] = q[2]
+                        q[0] = -1
+                    while q[3] >= 0 and ends[q[3]] ^ src[q[3]] == u:
+                        q[3] = ref[q[3]]
+                    if q[3] < 0 and q[2] >= 0:
+                        ref[q[2]] = q[0]
+                        q[2] = -1
+                continue
+            ind[v] = i
+    return True
 
 
 def _kuratowski_edges(edges):

@@ -756,6 +756,37 @@ class TestHarness:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == write_graph6(path(3))
 
+    def test_only_tree_enumeration_loads_networkx(self, tmp_path):
+        """networkx is imported by tree enumeration alone: a fresh process
+        runs every other command through cli.main without loading it, and
+        loads it for `search trees7`."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(TestDecompose.SPEC))
+        runs = [
+            ["build", "--graph6", write_graph6(path(6)), "--k", "2"],
+            ["analyze", "--graph6", write_graph6(path(12)), "--ts", "3"],
+            ["geom", "--points", PTS_JSON, "--triangulations",
+             "--flip-graph", "--check-ts-iso"],
+            ["decompose", "--spec", str(spec)],
+            ["realize", "--search", write_graph6(complete(4)), "--k", "2",
+             "--max-n", "5"],
+            ["gen", "--connected", "5"],
+            ["search", "planar6"],
+        ]
+        snippet = ("import contextlib, io, json, sys\n"
+                   "from tokenslide.cli import main\n"
+                   "for argv in json.loads(sys.argv[1]):\n"
+                   "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "        assert main(argv) == 0, argv\n"
+                   "    print(argv[0], 'networkx' in sys.modules)\n")
+        r = subprocess.run(
+            [sys.executable, "-c", snippet,
+             json.dumps(runs + [["search", "trees7"]])],
+            capture_output=True, text=True, env=package_env())
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split("\n") == [
+            f"{argv[0]} False" for argv in runs] + ["search True", ""]
+
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_reader_closing_stdout_is_exit_1(self, fmt):
         """A reader that stops early, like `| head -c 100`, ends the run

@@ -257,6 +257,44 @@ class TestJsonAndDot:
         assert '  v1 [label="c\\\\"];\n' in dot
 
 
+def tree_certificate(n, edges):
+    """AHU string of a tree on 0..n-1 rooted at its centre, the lesser of
+    the two strings when it has two centres: equal exactly for isomorphic
+    trees (Aho, Hopcroft & Ullman 1974)."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    degree = [len(row) for row in adj]
+    centres = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:  # peel the leaves, layer by layer
+        left -= len(centres)
+        inner = []
+        for v in centres:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    inner.append(w)
+        centres = inner
+
+    def rooted(root):
+        order, parent = [root], {root: None}
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        kids = {v: [] for v in order}
+        for v in reversed(order):
+            code = "(" + "".join(sorted(kids[v])) + ")"
+            if parent[v] is None:
+                return code
+            kids[parent[v]].append(code)
+
+    return min(rooted(c) for c in centres)
+
+
 class TestTreeEnumeration:
     # counts for n = 1..8
     KNOWN = [1, 1, 1, 2, 3, 6, 11, 23]
@@ -266,22 +304,13 @@ class TestTreeEnumeration:
         assert len(enumerate_trees(n)) == self.KNOWN[n - 1]
 
     @pytest.mark.parametrize("n", range(2, 8))
-    # networkx 3.5 warns that its hashes changed; only their equality is used
-    @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
     def test_prufer_oracle(self, n):
-        # every labelled tree comes from a Prufer sequence; dedup by nx iso,
-        # comparing only trees with equal Weisfeiler-Lehman hashes (equal
-        # for isomorphic trees, so no isomorphic pair is missed)
+        # every labelled tree comes from a Prufer sequence; isomorphic
+        # trees are those with equal centred AHU strings
         import itertools
 
-        reps = []
-        buckets = {}
-        for seq in itertools.product(range(n), repeat=n - 2):
-            t = nx.from_prufer_sequence(list(seq))
-            bucket = buckets.setdefault(nx.weisfeiler_lehman_graph_hash(t), [])
-            if not any(nx.is_isomorphic(t, r) for r in bucket):
-                bucket.append(t)
-                reps.append(t)
+        reps = {tree_certificate(n, nx.from_prufer_sequence(list(seq)).edges())
+                for seq in itertools.product(range(n), repeat=n - 2)}
         assert len(enumerate_trees(n)) == len(reps)
 
     def test_all_are_trees_and_distinct(self):

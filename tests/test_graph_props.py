@@ -1,5 +1,6 @@
 import hashlib
 import random
+import signal
 from itertools import combinations, permutations, product
 
 import networkx as nx
@@ -48,7 +49,7 @@ from tokenslide import (
 )
 
 from tokenslide.canon import _as_adj
-from tokenslide.props import _dsatur
+from tokenslide.props import _dsatur, _planar
 
 from conftest import (
     brute_cliques,
@@ -543,20 +544,18 @@ class TestPlanarity:
             (min(a, b), max(a, b)) for a, b in cert.edges())
 
     def test_witness_takes_few_planarity_tests(self, monkeypatch):
-        real = nx.check_planarity
         calls = []
 
-        def counting(g, counterexample=False):
-            calls.append(counterexample)
-            return real(g, counterexample)
+        def counting(edges):
+            calls.append(len(edges))
+            return _planar(edges)
 
-        monkeypatch.setattr(nx, "check_planarity", counting)
+        monkeypatch.setattr("tokenslide.props._planar", counting)
         ts = build_TSk(path(12), 3)  # 252 edges
         planar, witness = is_planar(ts)
         assert not planar
         assert classify_subdivision(ts.num_nodes(), witness)
         assert 0 < len(calls) <= 100
-        assert not any(calls)
 
     def test_classify_subdivision_direct(self):
         k5 = nx.complete_graph(5)
@@ -604,6 +603,112 @@ class TestPlanarity:
         for g in [cycle(7), cycle(8), theta]:
             assert girth(g) >= 7
             assert not is_planar(build_TS(g))[0]
+
+
+def nx_planar(edges):
+    return nx.check_planarity(nx.Graph(list(edges)))[0]
+
+
+def lr_planar(edges):
+    """_planar, raising TimeoutError after 5 s instead of hanging: a
+    broken left-right test can follow a cycle of refs forever."""
+    def expire(signum, frame):
+        raise TimeoutError("_planar ran past 5 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        return _planar(edges)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists of simple graphs on sparse vertex ids with one to three
+    components of 3 to 13 vertices, in random order and orientation.
+    About half the components have 3n - 9 to 3n - 5 edges, around
+    Euler's bound; the rest have n - 1 to 3n - 6."""
+    rnd = draw(st.randoms(use_true_random=False))
+    ids = rnd.sample(range(10 ** 4), 39)
+    edges = []
+    for part in range(draw(st.integers(min_value=1, max_value=3))):
+        n = rnd.randint(3, 13)
+        pairs = list(combinations(ids[13 * part:13 * part + n], 2))
+        if rnd.random() < 0.5:
+            m = 3 * n - 6 + rnd.randint(-3, 1)
+        else:
+            m = rnd.randint(n - 1, 3 * n - 6)
+        edges += rnd.sample(pairs, max(0, min(m, len(pairs))))
+    rnd.shuffle(edges)
+    return [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in edges]
+
+
+def subdivide(edges, first, pieces):
+    """Each edge a-b replaced by a path of `pieces` edges through new
+    vertices numbered from `first` up."""
+    out = []
+    for a, b in edges:
+        inner = list(range(first, first + pieces - 1))
+        first += pieces - 1
+        walk = [a, *inner, b]
+        out += zip(walk, walk[1:])
+    return out
+
+
+class TestPlanarityKernel:
+    """props._planar, the yes/no left-right test, against networkx."""
+
+    @given(edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx(self, edges):
+        assert lr_planar(edges) == nx_planar(edges)
+
+    @given(st.integers(min_value=4, max_value=9), st.booleans(),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx_on_slide_graphs(self, n, closed, data):
+        base = (cycle if closed else path)(n)
+        chords = data.draw(st.sets(
+            st.sampled_from(list(combinations(range(n), 2))), max_size=2))
+        g = make_graph(n, sorted(set(base.edges()) | chords))
+        k = data.draw(st.sampled_from([1, 2, 3, None]))
+        assume(k is None or k <= alpha(g))
+        edges = (build_TS(g) if k is None else build_TSk(g, k)).edges()
+        # the suffixes a witness search tests, as well as the whole graph
+        for cut in range(0, len(edges), max(1, len(edges) // 8)):
+            assert lr_planar(edges[cut:]) == nx_planar(edges[cut:])
+
+    def test_every_graph_on_up_to_7_vertices(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                assert lr_planar(g.edges()) == nx_planar(g.edges()), g.edges()
+
+    def test_tiny(self):
+        assert lr_planar([])
+        assert lr_planar([(3, 7)])
+        assert lr_planar(complete(4).edges())
+
+    @pytest.mark.parametrize("g", [complete(5), complete_bipartite(3, 3)])
+    def test_kuratowski_graphs_and_subdivisions(self, g):
+        edges = g.edges()
+        assert not lr_planar(edges)
+        assert lr_planar(edges[1:])
+        for pieces in (2, 3):
+            sub = subdivide(edges, g.n, pieces)
+            assert not lr_planar(sub)
+            assert lr_planar(sub[1:])
+
+    def test_deep_dfs(self):
+        # 10^4 vertices: a DFS path thousands of vertices deep
+        side = 100
+        grid = [(v, v + 1) for v in range(side * side) if (v + 1) % side] \
+            + [(v, v + side) for v in range(side * (side - 1))]
+        assert lr_planar(grid)
+        k33 = subdivide(complete_bipartite(3, 3).edges(), 6, 1200)
+        assert not lr_planar(k33)
+        assert lr_planar(k33[1:])
 
 
 # canon._refine and canon._labeling_search as they were before the
