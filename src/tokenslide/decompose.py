@@ -68,8 +68,7 @@ def join_spec_from_json(data):
             "lists h1, h2 and an integer k")
     g1 = graph_from_json(data["g1"])
     g2 = graph_from_json(data["g2"])
-    return JoinSpec(g1, g2, _as_vset(data["h1"], g1.n),
-                    _as_vset(data["h2"], g2.n), data["k"])
+    return JoinSpec(g1, g2, data["h1"], data["h2"], data["k"])
 
 
 def product(a, b):

@@ -73,7 +73,4 @@ def enumerate_graphs(n):
 
 def enumerate_connected_graphs(n):
     """Connected members of enumerate_graphs(n), same order."""
-    if not 1 <= n <= GRAPHS_MAX_N:
-        raise NTooLarge(
-            f"graph enumeration supports 1..{GRAPHS_MAX_N}, got {n}")
     return [g for g in enumerate_graphs(n) if is_connected(g)]

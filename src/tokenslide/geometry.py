@@ -9,6 +9,10 @@ A triangulation is a maximal set of pairwise non-crossing segments, and
 an endpoint or touch at an interior point of only one of them do not
 cross. The never-crossing segments L belong to every triangulation, so
 triangulations correspond to maximal stable sets of the crossing graph.
+
+The Delaunay triangulation comes from its definition, the sides of every
+triangle whose circumcircle holds no other point, and is then checked to
+be a triangulation; Lawson flipping must end at it.
 """
 
 from __future__ import annotations
@@ -111,6 +115,13 @@ def segments_intersect(a, b, c, d):
     return o1 * o2 < 0 and o3 * o4 < 0
 
 
+def _cross(pts, s, t):
+    """Point-index segments s and t have four distinct ends and cross."""
+    (a, b), (c, d) = s, t
+    return len({a, b, c, d}) == 4 and segments_intersect(
+        pts[a], pts[b], pts[c], pts[d])
+
+
 @dataclass(frozen=True)
 class SegmentGraph:
     """Crossing structure of all segments of a point set.
@@ -135,10 +146,7 @@ def edge_intersection_graph(points):
     all_segs = list(combinations(range(n), 2))
     crossing = {}
     for s, t in combinations(range(len(all_segs)), 2):
-        (a, b), (c, d) = all_segs[s], all_segs[t]
-        if len({a, b, c, d}) < 4:
-            continue
-        if segments_intersect(pts[a], pts[b], pts[c], pts[d]):
+        if _cross(pts, all_segs[s], all_segs[t]):
             crossing.setdefault(s, set()).add(t)
             crossing.setdefault(t, set()).add(s)
     verts = sorted(crossing)
@@ -291,47 +299,33 @@ def _lawson(t_set, pts):
         (p, q), r, s = flip_edge
         t.discard((p, q))
         new = (min(r, s), max(r, s))
-        for u, v in t:
-            if len({u, v, new[0], new[1]}) == 4 and segments_intersect(
-                    pts[u], pts[v], pts[new[0]], pts[new[1]]):
-                raise RuntimeError("flip produced a crossing segment")
+        if any(_cross(pts, seg, new) for seg in t):
+            raise RuntimeError("flip produced a crossing segment")
         t.add(new)
         flips += 1
         if flips > max_flips:
             raise RuntimeError("Lawson flipping exceeded the flip budget")
 
 
-def _greedy_triangulation(pts):
-    segs = []
-    for a, b in combinations(range(len(pts)), 2):
-        ok = True
-        for u, v in segs:
-            if len({a, b, u, v}) == 4 and segments_intersect(
-                    pts[a], pts[b], pts[u], pts[v]):
-                ok = False
-                break
-        if ok:
-            segs.append((a, b))
-    return segs
-
-
-def _verify_delaunay(t, pts):
-    for a, b, c in _faces(sorted(t), pts):
-        for d in range(len(pts)):
-            if d in (a, b, c):
-                continue
-            if in_circle(pts[a], pts[b], pts[c], pts[d]) > 0:
-                return False
-    return True
+def _delaunay(pts):
+    """Sides of every triangle whose circumcircle holds no other point, for
+    checked points; RuntimeError unless they form a triangulation."""
+    n = len(pts)
+    t = set()
+    for a, b, c in combinations(range(n), 3):
+        if all(in_circle(pts[a], pts[b], pts[c], pts[d]) < 0
+               for d in range(n) if d not in (a, b, c)):
+            t.update(((a, b), (a, c), (b, c)))
+    if (len(t) != 3 * n - 3 - convex_hull_size(pts)
+            or any(_cross(pts, s, u) for s, u in combinations(t, 2))):
+        raise RuntimeError("empty-circumcircle sides are not a triangulation")
+    return t
 
 
 def delaunay(points):
-    """The unique empty-circumcircle triangulation, as sorted segment pairs."""
-    pts = _require_general_position(points)
-    t, _ = _lawson(_greedy_triangulation(pts), pts)
-    if not _verify_delaunay(t, pts):
-        raise RuntimeError("Lawson flipping did not reach Delaunay")
-    return tuple(sorted(t))
+    """The unique empty-circumcircle triangulation, as sorted segment pairs,
+    taken from its definition and checked to be a triangulation."""
+    return tuple(sorted(_delaunay(_require_general_position(points))))
 
 
 def _validate_triangulation(t, pts):
@@ -346,18 +340,13 @@ def _validate_triangulation(t, pts):
         segs.append((min(a, b), max(a, b)))
     if len(set(segs)) != len(segs):
         raise InputError("triangulation repeats a segment")
-    for (a, b), (c, d) in combinations(segs, 2):
-        if len({a, b, c, d}) == 4 and segments_intersect(
-                pts[a], pts[b], pts[c], pts[d]):
-            raise InputError(f"segments {(a, b)} and {(c, d)} cross")
+    for s, u in combinations(segs, 2):
+        if _cross(pts, s, u):
+            raise InputError(f"segments {s} and {u} cross")
     present = set(segs)
-    for a, b in combinations(range(n), 2):
-        if (a, b) in present:
-            continue
-        if not any(len({a, b, u, v}) == 4 and segments_intersect(
-                pts[a], pts[b], pts[u], pts[v]) for u, v in segs):
-            raise InputError(
-                f"not maximal: segment {(a, b)} could still be added")
+    for s in combinations(range(n), 2):
+        if s not in present and not any(_cross(pts, s, u) for u in segs):
+            raise InputError(f"not maximal: segment {s} could still be added")
     return segs
 
 
@@ -366,7 +355,7 @@ def lawson_distance(t, points):
     pts = _require_general_position(points)
     t = _validate_triangulation(t, pts)
     final, flips = _lawson(t, pts)
-    if not _verify_delaunay(final, pts):
+    if final != _delaunay(pts):
         raise RuntimeError("Lawson flipping did not reach Delaunay")
     return flips
 

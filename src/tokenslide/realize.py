@@ -208,7 +208,7 @@ def realize_split(f, k):
             if t != i:
                 edges.append((min(b0 + t, p), max(b0 + t, p)))
     base = make_graph(x0 + n_s, sorted(set(edges)))
-    i_mask = (1 << (k - 1)) - 1
+    x_vertex = {p: w for w, (p, _, _) in x_index.items()}
     ts = build_TSk(base, k)
     witness = [0] * f.n
     for idx, mask in enumerate(ts.label_masks()):
@@ -217,11 +217,7 @@ def realize_split(f, k):
             b = (mask >> b0) & ((1 << m) - 1)
             witness[idx] = kv[b.bit_length() - 1]
         else:
-            p = x0 + x_part.bit_length() - 1
-            for w, (q, i, j) in x_index.items():
-                if q == p:
-                    witness[idx] = w
-                    break
+            witness[idx] = x_vertex[x0 + x_part.bit_length() - 1]
     return Realization(f, k, base, tuple(witness))
 
 

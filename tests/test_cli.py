@@ -20,6 +20,7 @@ from tokenslide import (
     classify_subdivision,
     complete,
     cycle,
+    delaunay,
     make_graph,
     parse_graph6,
     path,
@@ -406,6 +407,25 @@ class TestGeom:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "83025ef173b287abbca45ce92547f925417c77916f2540e5bff780bd85ed3303"
+
+    # stdout SHA-256 recorded while Delaunay still came from Lawson flips
+    # of a greedy triangulation
+    @pytest.mark.parametrize("start,sha", [
+        ("first",
+         "5a572a6ed660c818020decc0a6717e4f5473e052360ea5f4721f8b639960975d"),
+        ("last",
+         "5a572a6ed660c818020decc0a6717e4f5473e052360ea5f4721f8b639960975d"),
+        ("delaunay",
+         "68d9aba81913bd875ca61d9cda563317b0ecd00f7ab07643f2907dd8d85f8874"),
+    ])
+    def test_golden_lawson_hull3(self, capsys, start, sha):
+        ts = triangulations(json.loads(HULL3_JSON))
+        t = {"first": ts[0], "last": ts[-1],
+             "delaunay": delaunay(json.loads(HULL3_JSON))}[start]
+        code, out, err = run(capsys, "geom", "--points", HULL3_JSON,
+                             "--lawson", json.dumps(t))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     def test_crossing_work_once_per_call(self, capsys, monkeypatch):
         from tokenslide import geometry

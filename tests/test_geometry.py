@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,8 @@ from tokenslide import (
     segments_intersect,
     triangulations,
 )
+from tokenslide import geometry
+from tokenslide.cli import main
 
 # six points, irregular quadrilateral hull, two interior points;
 # every derived constant below was cross-checked by hand against the
@@ -67,6 +70,16 @@ def random_point_set(rng, n):
                 pts.append(p)
         if check_general_position(pts).ok:
             return pts
+
+
+def greedy_triangulation(pts, order):
+    """Keep each segment of order that crosses none kept before it."""
+    kept = []
+    for a, b in order:
+        if not any(len({a, b, u, v}) == 4 and segments_intersect(
+                pts[a], pts[b], pts[u], pts[v]) for u, v in kept):
+            kept.append((a, b))
+    return kept
 
 
 class TestPredicates:
@@ -323,6 +336,55 @@ class TestDelaunay:
                         assert in_circle(pts[a], pts[b], pts[c],
                                          pts[x]) < 0
 
+    def test_only_triangulation_with_empty_circumcircles(self, rng):
+        # oracle: faces by brute force, circles by exact Fractions; no
+        # library predicate decides which triangulation is Delaunay
+        def empty_circles(t, pts):
+            present = set(t)
+            for f in combinations(range(len(pts)), 3):
+                a, b, c = (pts[v] for v in f)
+                others = [pts[x] for x in range(len(pts)) if x not in f]
+                if not {f[:2], f[1:], f[::2]} <= present or any(
+                        oracle_orient(a, b, x) == oracle_orient(b, c, x)
+                        == oracle_orient(c, a, x) for x in others):
+                    continue
+                ux, uy, r2 = circumcircle(a, b, c)
+                if any((x - ux) ** 2 + (y - uy) ** 2 <= r2
+                       for x, y in others):
+                    return False
+            return True
+
+        for _ in range(12):
+            pts = random_point_set(rng, rng.randint(4, 8))
+            assert [t for t in triangulations(pts)
+                    if empty_circles(t, pts)] == [delaunay(pts)]
+
+    def test_lawson_reaches_it_from_greedy_triangulations(self, rng):
+        for _ in range(10):
+            n = rng.randint(4, 12)
+            pts = random_point_set(rng, n)
+            pairs = list(combinations(range(n), 2))
+            starts = [greedy_triangulation(pts, pairs)]
+            for _ in range(3):
+                rng.shuffle(pairs)
+                starts.append(greedy_triangulation(pts, pairs))
+            for start in starts:
+                assert len(start) == 3 * n - 3 - convex_hull_size(pts)
+                final, _ = geometry._lawson(start, pts)
+                assert tuple(sorted(final)) == delaunay(pts)
+
+    def test_gate_rejects_a_wrong_in_circle(self, monkeypatch, capsys):
+        # with the sign flipped the "empty" circles are the ones holding
+        # every other point; with interior points their sides are too few
+        # to triangulate, and the gate must say so rather than return them
+        right = geometry.in_circle
+        monkeypatch.setattr(geometry, "in_circle",
+                            lambda a, b, c, d: -right(a, b, c, d))
+        with pytest.raises(RuntimeError):
+            delaunay(PTS)
+        assert main(["geom", "--points", json.dumps(PTS), "--delaunay"]) == 4
+        assert capsys.readouterr().out == ""
+
     def test_unique_among_triangulations(self):
         # exactly one triangulation has the empty-circle property, and
         # lawson reaches it with zero flips
@@ -367,11 +429,13 @@ class TestLawson:
             lawson_distance(good + [(0, 9)], PTS)
         with pytest.raises(InputError):
             lawson_distance(good + [good[0]], PTS)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^not maximal: segment "
+                           r"\(3, 4\) could still be added$"):
             lawson_distance(good[:-1], PTS)
         other = list(triangulations(PTS)[1])
         assert (0, 2) not in other
-        with pytest.raises(InputError):
+        with pytest.raises(InputError,
+                           match=r"^segments \(1, 3\) and \(0, 2\) cross$"):
             lawson_distance(other + [(0, 2)], PTS)
 
 
