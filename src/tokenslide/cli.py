@@ -32,7 +32,6 @@ from .realize import (Realization, realize_complete, realize_cycle,
                       search_realizer)
 from .reconf import build_TS, build_TSk
 from .searches import SEARCH_NAMES, run_search
-from .stable import alpha
 
 FAMILIES = {
     "path": lambda a: path(a.n),
@@ -330,13 +329,14 @@ def _cmd_geom(args):
     if args.delaunay:
         out["delaunay"] = [list(seg) for seg in delaunay(pts)]
     if args.check_ts_iso:
-        crossing = fg.base
-        if crossing.n == 0:
-            a = 0
+        # flip_graph raises unless all maximal stable sets of the crossing
+        # graph have one size, so fg.k is alpha; a set the flip graph
+        # missed or added still fails the label comparison
+        a = fg.k
+        if a == 0:
             ok = fg.num_nodes() == 1 and fg.num_edges() == 0
         else:
-            a = alpha(crossing)
-            ts = build_TSk(crossing, a)
+            ts = build_TSk(fg.base, a)
             ok = (fg.label_masks() == ts.label_masks()
                   and fg.edges() == ts.edges())
         out["ts_iso"] = {"isomorphic": ok, "alpha": a,

@@ -1,18 +1,21 @@
 """Constructions of base graphs whose size-k slide graph matches a target.
 
-Every constructor returns a Realization, which re-builds the slide graph
-and checks the claimed bijection on construction, so no construction is
-trusted unverified. search_realizer is the bounded evidence engine for
-non-realizability: exhausting all bases up to max_n vertices proves
-nothing beyond that range, and its negative answer says exactly that.
+Every constructor states a base graph and a label rule mapping each
+stable k-set of the base to a target vertex. Realization is the one place
+that builds the slide graph of such a base and checks the rule on it,
+so no construction is trusted unverified. search_realizer is the bounded
+evidence engine for non-realizability: exhausting all bases up to max_n
+vertices proves nothing beyond that range, and its negative answer says
+exactly that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from itertools import combinations
 
-from .canon import is_isomorphic, iso_map
+from .canon import iso_map
 from .enumeration import GRAPHS_MAX_N, enumerate_graphs
 from .errors import (ConditionViolated, CycleTooSmall, InputError, KMismatch,
                      NExceedsK, NotConnected, NotIndependent, NTooLarge)
@@ -76,53 +79,53 @@ def _require(cond, msg):
         raise InputError(msg)
 
 
+def _realized(target, k, base, vertex_of):
+    """Realization of target by base, where vertex_of maps the mask of each
+    stable k-set of base (in build_TSk's node order) to its target vertex.
+
+    Only the stable sets are enumerated here; the Realization gate builds
+    the slide graph and checks the map.
+    """
+    masks = independent_sets_of_size(base, k).masks()
+    return Realization(target, k, base, tuple(map(vertex_of, masks)))
+
+
 def realize_complete(n, k):
     """Base K_n plus k-1 isolated vertices; its slide graph is K_n."""
     _require(n >= 2, f"n must be >= 2, got {n}")
     _require(k >= 2, f"k must be >= 2, got {k}")
-    base = add_isolated(complete(n), k - 1)
-    ts = build_TSk(base, k)
-    pad = ((1 << (k - 1)) - 1) << n
-    witness = [0] * n
-    for i, m in enumerate(ts.label_masks()):
-        witness[i] = (m & ~pad).bit_length() - 1
-    return Realization(complete(n), k, base, tuple(witness))
+    low = (1 << n) - 1
+    return _realized(complete(n), k, add_isolated(complete(n), k - 1),
+                     lambda m: (m & low).bit_length() - 1)
 
 
 def realize_path(n, k):
     """Base complement(P_{n+1}) plus k-2 isolated vertices; slide graph P_n."""
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(k >= 2, f"k must be >= 2, got {k}")
-    base = add_isolated(complement(path(n + 1)), k - 2)
-    ts = build_TSk(base, k)
-    pad_mask = ((1 << (k - 2)) - 1) << (n + 1)
-    witness = [0] * n
-    for i, m in enumerate(ts.label_masks()):
-        witness[i] = members(m & ~pad_mask)[0]  # pair is {i, i+1}
-    return Realization(path(n), k, base, tuple(witness))
+    low = (1 << (n + 1)) - 1
+    # the stable pair is {i, i+1}, which is path vertex i
+    return _realized(path(n), k, add_isolated(complement(path(n + 1)), k - 2),
+                     lambda m: members(m & low)[0])
 
 
 def realize_cycle(n, k):
     """Base complement(C_n) plus k-2 isolated vertices; slide graph C_n.
 
     C_3 is K_3, whose complement is edgeless and yields no stable pairs,
-    so n = 3 falls back to the complete-graph construction.
+    so n = 3 is the complete-graph construction.
     """
     _require(k >= 2, f"k must be >= 2, got {k}")
     if n < 3:
         raise CycleTooSmall(f"cycle needs n >= 3, got {n}")
     if n == 3:
-        r = realize_complete(3, k)
-        return Realization(cycle(3), k, r.base, r.witness_iso)
-    base = add_isolated(complement(cycle(n)), k - 2)
-    ts = build_TSk(base, k)
-    pad_mask = ((1 << (k - 2)) - 1) << n
-    witness = [0] * n
-    for i, m in enumerate(ts.label_masks()):
-        a, b = members(m & ~pad_mask)
-        # pair is a cycle edge {i, i+1} or the wrap pair {0, n-1}
-        witness[i] = n - 1 if (a, b) == (0, n - 1) else a
-    return Realization(cycle(n), k, base, tuple(witness))
+        return realize_complete(3, k)
+    low = (1 << n) - 1
+    wrap = 1 | 1 << (n - 1)
+    # the stable pair is a cycle edge {i, i+1} or the wrap pair {0, n-1}
+    return _realized(cycle(n), k, add_isolated(complement(cycle(n)), k - 2),
+                     lambda m: n - 1 if (m & low) == wrap
+                     else members(m & low)[0])
 
 
 def realize_star(n, k):
@@ -134,14 +137,9 @@ def realize_star(n, k):
         raise NExceedsK(f"star needs n <= k, got n={n}, k={k}")
     edges = [(k + i, k + j) for i in range(n) for j in range(i + 1, n)]
     edges += [(i, k + i) for i in range(n)]
-    base = make_graph(n + k, edges)
-    a_mask = (1 << k) - 1
-    ts = build_TSk(base, k)
-    witness = [0] * (n + 1)
-    for i, m in enumerate(ts.label_masks()):
-        # the center, or a leaf by its 1-based index
-        witness[i] = 0 if m == a_mask else (m >> k).bit_length()
-    return Realization(star(n), k, base, tuple(witness))
+    # the center is the set of all a-vertices; leaf i swaps a_i for b_i
+    return _realized(star(n), k, make_graph(n + k, edges),
+                     lambda m: (m >> k).bit_length())
 
 
 def _kmax_with_checks(f):
@@ -151,24 +149,24 @@ def _kmax_with_checks(f):
 
 
 def _split_conditions(f, part, k):
-    """Yield (vertex, message) for each violated realizability condition."""
+    """Yield a message for each violated realizability condition."""
     s_mask = part.S.mask
     for v in part.K.members():
         d = (f.adjacency_mask(v) & s_mask).bit_count()
         if d > k - 1:
-            yield v, (f"clique vertex {v} has {d} stable-side neighbors, "
-                      f"limit is {k - 1}")
+            yield (f"clique vertex {v} has {d} stable-side neighbors, "
+                   f"limit is {k - 1}")
     for w in part.S.members():
         d = f.degree(w)
         if d != 1:
-            yield w, f"stable vertex {w} has degree {d}, needs exactly 1"
+            yield f"stable vertex {w} has degree {d}, needs exactly 1"
 
 
 def split_realizable(f, k):
     """Realizability test for a connected split graph at size k."""
     _require(k >= 2, f"k must be >= 2, got {k}")
     part = _kmax_with_checks(f)
-    return not any(True for _ in _split_conditions(f, part, k))
+    return next(_split_conditions(f, part, k), None) is None
 
 
 def realize_split(f, k):
@@ -176,49 +174,26 @@ def realize_split(f, k):
     vertices b_i, stable-side vertices x^i_j, and a shared independent pad."""
     _require(k >= 2, f"k must be >= 2, got {k}")
     part = _kmax_with_checks(f)
-    violations = list(_split_conditions(f, part, k))
-    if violations:
-        v, msg = violations[0]
-        raise ConditionViolated(msg)
+    violation = next(_split_conditions(f, part, k), None)
+    if violation is not None:
+        raise ConditionViolated(violation)
     kv = part.K.members()
-    m = len(kv)
-    # stable-side vertices grouped by their unique clique neighbor,
-    # neighborhoods processed in increasing clique-vertex index
-    groups = []
-    for v in kv:
-        nb = sorted(set(f.neighbors(v)) & set(part.S.members()))
-        groups.append(nb)
-    n_s = sum(len(g) for g in groups)
-    # base layout: a_1..a_{k-1} = 0..k-2, b_1..b_m = k-1..k-2+m, x's after
+    # x^i_j = (i, j, w): the j-th stable-side neighbor w of clique vertex i
+    xs = [(i, j, w) for i, v in enumerate(kv)
+          for j, w in enumerate(members(f.adjacency_mask(v) & part.S.mask))]
+    # base layout: a_1..a_{k-1} = 0..k-2, then the b's, then the x's
     b0 = k - 1
-    x0 = b0 + m
-    edges = [(b0 + i, b0 + j) for i in range(m) for j in range(i + 1, m)]
-    x_index = {}
-    pos = x0
-    for i, grp in enumerate(groups):
-        for j, w in enumerate(grp):
-            x_index[w] = (pos, i, j)
-            pos += 1
-    xs = sorted(x_index.values())
-    edges += [(xs[a][0], xs[b][0]) for a in range(len(xs))
-              for b in range(a + 1, len(xs))]
-    for w, (p, i, j) in x_index.items():
+    x0 = b0 + len(kv)
+    edges = list(combinations(range(b0, x0), 2))
+    edges += combinations(range(x0, x0 + len(xs)), 2)
+    for p, (i, j, _) in enumerate(xs, x0):
         edges.append((j, p))  # a_{j+1} neighbor
-        for t in range(m):
-            if t != i:
-                edges.append((min(b0 + t, p), max(b0 + t, p)))
-    base = make_graph(x0 + n_s, sorted(set(edges)))
-    x_vertex = {p: w for w, (p, _, _) in x_index.items()}
-    ts = build_TSk(base, k)
-    witness = [0] * f.n
-    for idx, mask in enumerate(ts.label_masks()):
-        x_part = mask >> x0
-        if x_part == 0:
-            b = (mask >> b0) & ((1 << m) - 1)
-            witness[idx] = kv[b.bit_length() - 1]
-        else:
-            witness[idx] = x_vertex[x0 + x_part.bit_length() - 1]
-    return Realization(f, k, base, tuple(witness))
+        edges += [(b, p) for b in range(b0, x0) if b != b0 + i]
+    # a stable k-set is b_i with every a, or b_i and x^i_j with every a
+    # but a_{j+1}: its x bit, if any, names the vertex, else its b bit
+    return _realized(f, k, make_graph(x0 + len(xs), edges),
+                     lambda m: xs[(m >> x0).bit_length() - 1][2] if m >> x0
+                     else kv[(m >> b0).bit_length() - 1])
 
 
 def extend_with_vG(g, independent):
@@ -244,38 +219,20 @@ def realize_disjoint_union(parts, k):
     if len(parts) == 1:
         return parts[0]
     _require(k >= 2, f"k must be >= 2 for multi-part unions, got {k}")
-    base_n = sum(p.base.n for p in parts)
     edges = []
-    offsets = []
-    off = 0
+    vertex = {}  # stable k-set mask of the base -> target vertex
+    off = t_off = 0
     for p in parts:
-        offsets.append(off)
+        n = p.base.n
         edges += [(a + off, b + off) for a, b in p.base.edges()]
-        off += p.base.n
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for a in range(offsets[i], offsets[i] + parts[i].base.n):
-                for b in range(offsets[j], offsets[j] + parts[j].base.n):
-                    edges.append((a, b))
-    base = make_graph(base_n, edges)
-    target = parts[0].target
-    for p in parts[1:]:
-        target = disjoint_union(target, p.target)
-    t_offsets = []
-    t_off = 0
-    for p in parts:
-        t_offsets.append(t_off)
+        edges += [(a, b) for a in range(off) for b in range(off, off + n)]
+        masks = independent_sets_of_size(p.base, k).masks()
+        vertex.update((m << off, w + t_off)
+                      for m, w in zip(masks, p.witness_iso))
+        off += n
         t_off += p.target.n
-    part_index = [{m: i for i, m in enumerate(part.label_masks())}
-                  for part in (build_TSk(p.base, k) for p in parts)]
-    ts = build_TSk(base, k)
-    witness = [0] * ts.num_nodes()
-    for i, m in enumerate(ts.label_masks()):
-        lo = members(m)[0]
-        pi = max(j for j in range(len(parts)) if offsets[j] <= lo)
-        li = part_index[pi][m >> offsets[pi]]
-        witness[i] = parts[pi].witness_iso[li] + t_offsets[pi]
-    return Realization(target, k, base, tuple(witness))
+    target = reduce(disjoint_union, (p.target for p in parts))
+    return _realized(target, k, make_graph(off, edges), vertex.__getitem__)
 
 
 def _candidate_matches(g, target, k, target_edges):
@@ -284,8 +241,6 @@ def _candidate_matches(g, target, k, target_edges):
         return None
     ts = build_TSk(g, k)
     if ts.num_edges() != target_edges:
-        return None
-    if not is_isomorphic(ts, target):
         return None
     return iso_map(ts, target)
 

@@ -24,6 +24,7 @@ from tokenslide import (
     make_graph,
     parse_graph6,
     path,
+    star,
     triangulations,
     write_graph6,
 )
@@ -275,15 +276,48 @@ class TestRealize:
                       write_graph6(diamond()), "--k", "2", "--max-n", "4")
         assert js == {"found": False, "max_n": 4}
 
+    # stdout SHA-256 per argv. The search hit depends on the enumeration
+    # order and was recorded when every extension of every smaller graph
+    # was canonised; the family and split outputs pin each construction's
+    # base and witness_iso, recorded when every constructor built TS_k
+    # itself to read its witness off the node labels
+    GOLDEN = {
+        ("--search", "Bg", "--k", "2", "--max-n", "5"):
+            "aadef507ad4ddd41b86d49af478e348e4c2e51eec26f94f9171476e22df11e62",
+        ("--family", "complete", "--n", "2", "--k", "2"):
+            "d07ccc507926331d73735726b15b95db2f6a4acc7bd47fa449d97576be339607",
+        ("--family", "complete", "--n", "4", "--k", "3"):
+            "8059fb185aa1895d006ed98bc6a06f82f2622bfca23ed30f93f535ee171ed4ba",
+        ("--family", "path", "--n", "4", "--k", "2"):
+            "d89a10f7cc8acbb26d9df6fe16cc51dc92f17b31386ffe41545ec6d50e2a2be5",
+        ("--family", "path", "--n", "5", "--k", "3"):
+            "983f4df742558523e83f21e6bd4e85247e4c1d93c50aabfdbd54968d3ef8bedb",
+        ("--family", "cycle", "--n", "3", "--k", "2"):
+            "1e121f475446f4e3f12acfbe2f4371a8e4e5d932c0593cfccf14d094ae9e659d",
+        ("--family", "cycle", "--n", "3", "--k", "4"):
+            "b04f9b30c1842a7447f5d06a71fe7dfb9af2a4c0dd5cfeb6e31378e552d83ca0",
+        ("--family", "cycle", "--n", "5", "--k", "3"):
+            "b38492216c912f603e95ace8c1a2134cd5366c7bcfb1830089ea0cb4d5c921bf",
+        ("--family", "cycle", "--n", "6", "--k", "2"):
+            "88ae4b1115acd7a4a3967b40dcc9929478ad75e2ff62910e5740ddd1150eafb3",
+        ("--family", "star", "--n", "3", "--k", "3"):
+            "7d5b30ef1f2fc3d167fe8afcfa384cef84823cae6f3c491744b97afc725b9f0b",
+        ("--family", "star", "--n", "2", "--k", "4"):
+            "c0ac822126ea6fd4f0acbb86678be4a9e73af1a126d9825b7675555ebb076b90",
+        ("--split", "Cx", "--k", "2"):  # the paw
+            "1879fe4ddb2c904f9e46b390f9467dd5a9578e1a4c4bcbc427dd2fb541e1aada",
+        ("--split", "Cs", "--k", "3"):  # K_{1,3}
+            "e3e9374eb57fe17ace13b6ca91fc7ff47c504afd6101ee2aeb5c506f7a227da1",
+    }
+
     def test_golden_stdout(self, capsys):
-        # the first hit depends on the enumeration order; SHA-256 recorded
-        # when every extension of every smaller graph was canonised
-        code, out, err = run(capsys, "realize", "--search",
-                             write_graph6(path(3)), "--k", "2",
-                             "--max-n", "5")
-        assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "aadef507ad4ddd41b86d49af478e348e4c2e51eec26f94f9171476e22df11e62"
+        assert write_graph6(path(3)) == "Bg"
+        assert write_graph6(paw()) == "Cx"
+        assert write_graph6(star(3)) == "Cs"
+        for argv, digest in self.GOLDEN.items():
+            code, out, err = run(capsys, "realize", *argv)
+            assert code == 0, (argv, err)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
     def test_exactly_one_mode(self, capsys):
         assert run(capsys, "realize", "--k", "2")[0] == 2

@@ -237,6 +237,38 @@ def components_of(lg):
     return components(g)
 
 
+class TestOneBuild:
+    """Constructors give a label rule; the Realization gate is the one
+    build of TS_k per realization."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted(g, k):
+            calls.append((g, k))
+            return build_TSk(g, k)
+
+        parts = [realize_path(3, 2), realize_cycle(4, 2)]
+        monkeypatch.setattr(realize, "build_TSk", counted)
+        return calls, parts
+
+    @pytest.mark.parametrize("make", [
+        lambda parts: realize_complete(4, 3),
+        lambda parts: realize_path(4, 2),
+        lambda parts: realize_star(3, 3),
+        lambda parts: realize_cycle(3, 2),
+        lambda parts: realize_cycle(5, 2),
+        lambda parts: realize_split(paw(), 2),
+        lambda parts: realize_disjoint_union(parts, 2),
+    ], ids=["complete", "path", "star", "cycle3", "cycle5", "split",
+            "union"])
+    def test_exactly_one_build(self, builds, make):
+        calls, parts = builds
+        r = make(parts)
+        assert calls == [(r.base, r.k)]
+
+
 class TestRealization:
     def test_json_shape(self):
         js = realize_complete(3, 2).to_json()

@@ -1,0 +1,78 @@
+"""Check that two source trees print the same stdout for the benchmark's
+workload commands.
+
+    python tools/same_stdout.py OLD_SRC NEW_SRC [--seeds 1-5]
+
+OLD_SRC and NEW_SRC are directories holding a `tokenslide` package, such
+as the `src` of two checkouts. Every command of every workload in
+clibench/workloads.py, at every seed, runs as `python -m tokenslide.cli`
+under each tree, with that tree alone on PYTHONPATH and the command's
+stdin. Each command whose exit code or stdout SHA-256 differs between
+the trees is printed, and the exit status is then 1; otherwise it is 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CLIBENCH = Path(__file__).resolve().parent.parent / "clibench"
+
+
+def seed_range(text):
+    """Seeds from "N" or "A-B" (inclusive)."""
+    lo, _, hi = text.partition("-")
+    try:
+        return range(int(lo), int(hi or lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed or range: {text!r}")
+
+
+def source_tree(text):
+    src = Path(text).resolve()
+    if not (src / "tokenslide").is_dir():
+        raise argparse.ArgumentTypeError(f"no tokenslide package in {src}")
+    return src
+
+
+def outcome(src, command):
+    """Exit code and stdout SHA-256 of one workload command under src."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokenslide.cli", *command.argv],
+        input=command.stdin.encode(), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=str(src)))
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old_src", type=source_tree)
+    p.add_argument("new_src", type=source_tree)
+    p.add_argument("--seeds", type=seed_range, default=seed_range("1-5"),
+                   help="a seed N or a range A-B (default 1-5)")
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(CLIBENCH))
+    import workloads
+
+    total = differ = 0
+    for seed in args.seeds:
+        for workload in workloads.WORKLOADS:
+            for cmd in workloads.make_commands(workload, seed):
+                old = outcome(args.old_src, cmd)
+                new = outcome(args.new_src, cmd)
+                total += 1
+                if old != new:
+                    differ += 1
+                    print(f"seed {seed} {cmd.name}: exit {old[0]} -> {new[0]}"
+                          f", stdout {old[1][:16]} -> {new[1][:16]}",
+                          flush=True)
+    print(f"{differ} of {total} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
