@@ -30,15 +30,21 @@ def _refine(adj, colors):
     sorted order. A round that splits no cell only renumbers them densely,
     and the round after it would change nothing, so that is the result.
     Seeded with the degrees, it skips the round from the all-zero coloring,
-    which only renumbers the degrees densely.
+    which only renumbers the degrees densely. A discrete coloring, one
+    vertex per cell, is stable too, so it returns as soon as it is
+    reached, densely renumbered.
     """
+    n = len(colors)
     cells = len(set(colors))
+    if cells == n:
+        rank = {c: i for i, c in enumerate(sorted(colors))}
+        return list(map(rank.__getitem__, colors))
     while True:
         get = colors.__getitem__
         sigs = [(c, tuple(sorted(map(get, a)))) for c, a in zip(colors, adj)]
         index = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = list(map(index.__getitem__, sigs))
-        if len(index) == cells:
+        if len(index) == cells or len(index) == n:
             return colors
         cells = len(index)
 

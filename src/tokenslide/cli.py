@@ -15,7 +15,8 @@ import json
 import os
 import sys
 import traceback
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, starmap
 
 from .decompose import decompose_join, join_spec_from_json
 from .enumeration import enumerate_connected_graphs, enumerate_trees
@@ -53,9 +54,10 @@ def _dumps(obj):
     """Exactly json.dumps(obj, sort_keys=True, indent=2), faster.
 
     With indent set, json falls back to its pure-Python encoder. Here
-    lists of ints and lists of such lists are written with str.join;
-    every other scalar, and dicts with non-string keys, go to json.dumps.
-    Only exact ints qualify: bool and int subclasses print differently.
+    lists of ints and lists of such lists are written through one
+    str.format template per row length; every other scalar, and dicts
+    with non-string keys, go to json.dumps. Only exact ints qualify:
+    bool and int subclasses print differently.
     """
     out = []
     _encode(obj, "\n", out.append)
@@ -68,14 +70,18 @@ def _encode(obj, nl, write):
     if type(obj) is list and obj:
         types = set(map(type, obj))
         if types == {int}:
-            write(_int_list(obj, nl))
+            write(_int_row(len(obj), nl).format(*obj))
         elif types == {list} and {int} >= set(
                 map(type, chain.from_iterable(obj))):
+            same = len(set(map(len, obj))) == 1
+            fmt = _int_row(len(obj[0]), inner).format
             sep = "[" + inner
             for start in range(0, len(obj), CHUNK_ROWS):
+                chunk = obj[start:start + CHUNK_ROWS]
                 write(sep + ("," + inner).join(
-                    [_int_list(row, inner)
-                     for row in obj[start:start + CHUNK_ROWS]]))
+                    starmap(fmt, chunk) if same else
+                    [_int_row(len(row), inner).format(*row)
+                     for row in chunk]))
                 sep = "," + inner
             write(nl + "]")
         else:
@@ -96,12 +102,14 @@ def _encode(obj, nl, write):
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def _int_list(ints, nl):
-    """The indented text of a list of exact ints."""
-    if not ints:
+@lru_cache(maxsize=256)
+def _int_row(length, nl):
+    """The str.format template of a list of `length` exact ints that
+    starts on a line indented as nl."""
+    if not length:
         return "[]"
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join(map(str, ints)) + nl + "]"
+    return "[" + inner + ("," + inner).join(["{}"] * length) + nl + "]"
 
 
 def _parse_json(source):

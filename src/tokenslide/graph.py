@@ -20,18 +20,28 @@ from .errors import (
 WIDTH_MAX = 128
 
 
+# _BYTES[o][b]: the members of byte value b at byte o of a mask, for the
+# WIDTH_MAX // 8 bytes of a Graph row
+_BYTES = tuple(tuple(tuple(8 * o + v for v in range(8) if b >> v & 1)
+                     for b in range(256))
+               for o in range(WIDTH_MAX // 8))
+
+
 def members(mask):
-    """Indices of the set bits, ascending: the one bit loop of the package."""
-    out = []
+    """Indices of the set bits, ascending: one table lookup per byte of
+    the mask, and one loop step per bit above bit WIDTH_MAX."""
+    out = ()
+    for row in _BYTES:
+        if not mask:
+            return out
+        out += row[mask & 255]
+        mask >>= 8
+    rest = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        rest.append(low.bit_length() + WIDTH_MAX - 1)
         mask ^= low
-    return tuple(out)
-
-
-# members of every mask below 2^8: the neighbour rows of small graphs
-_SMALL_MEMBERS = tuple(map(members, range(1 << 8)))
+    return out + tuple(rest)
 
 
 class VertexSet:
@@ -137,7 +147,7 @@ class Graph:
 
     def neighbors(self, v):
         row = self._adj[v]
-        return _SMALL_MEMBERS[row] if row < 256 else members(row)
+        return _BYTES[0][row] if row < 256 else members(row)
 
     def degree(self, v):
         return self._adj[v].bit_count()

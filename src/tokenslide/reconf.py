@@ -163,20 +163,24 @@ def check_labeled_graph(lg):
 
 
 def _slide_edges(g, masks):
-    """Sorted adjacency rows under the token-slide rule."""
+    """Sorted adjacency rows under the token-slide rule.
+
+    A token on u slides to a neighbour v by flipping both bits. The masks
+    must be independent sets of g, so v is never occupied, or all of one
+    size, so a flip that also clears v gives a mask two tokens short,
+    which the index cannot hold.
+    """
     index = {m: i for i, m in enumerate(masks)}.get
-    # nbrs[u]: the neighbour bits of base vertex u, one int each
-    nbrs = [[1 << v for v in g.neighbors(u)] for u in range(g.n)]
+    # flips[u]: the bits of u and one neighbour of u, one int each
+    flips = [[1 << u | 1 << v for v in g.neighbors(u)] for u in range(g.n)]
     adj = []
     for m in masks:
         row = []
         for u in members(m):
-            rest = m ^ 1 << u
-            for bv in nbrs[u]:
-                if not m & bv:
-                    j = index(rest | bv)
-                    if j is not None:
-                        row.append(j)
+            for f in flips[u]:
+                j = index(m ^ f)
+                if j is not None:
+                    row.append(j)
         row.sort()
         adj.append(tuple(row))
     return tuple(adj)

@@ -1,4 +1,5 @@
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -38,6 +39,7 @@ from tokenslide import (
     star,
     write_graph6,
 )
+from tokenslide.graph import WIDTH_MAX, members
 
 from conftest import (
     brute_stable_sets,
@@ -184,6 +186,47 @@ class TestVertexSet:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             VertexSet.of([4], 4)
+
+
+def reference_members(mask):
+    """The set bits of mask, one loop step per bit."""
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+class TestMembers:
+    SPECIAL = [0, 1, 2**128 - 1, 2**128, 2**129 + 1, 2**300 - 1] + [
+        mask for b in range(8, 304, 8)
+        for mask in (2**b - 1, 2**b, 2**b + 1, 2**(b - 1) | 2**b)]
+
+    def test_special_masks(self):
+        for mask in self.SPECIAL:
+            assert members(mask) == reference_members(mask), hex(mask)
+
+    def test_random_masks(self):
+        rng = random.Random(0x5EED)
+        for width in range(301):
+            for _ in range(8):
+                mask = rng.getrandbits(width)
+                assert members(mask) == reference_members(mask), hex(mask)
+                sparse = sum(1 << v for v in rng.sample(
+                    range(width), min(width, 3)))
+                assert members(sparse) == reference_members(sparse)
+
+    def test_neighbors_of_a_128_vertex_graph(self):
+        rng = random.Random(128)
+        edges = [e for e in combinations(range(WIDTH_MAX), 2)
+                 if rng.random() < 0.3] + [(0, WIDTH_MAX - 1)]
+        g = make_graph(WIDTH_MAX, edges)
+        for v in range(WIDTH_MAX):
+            assert g.neighbors(v) == reference_members(g.adjacency_mask(v))
+        assert g.edges() == sorted(set(edges))
 
 
 class TestSubgraphOps:

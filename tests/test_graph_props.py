@@ -865,13 +865,20 @@ class TestIsomorphism:
         assert canonical_form(copy) == cert
 
     def test_labelings_of_all_small_graphs(self):
-        # SHA-256 recorded before the refinement was made cheaper
+        # SHA-256s recorded before the refinement was made cheaper, and
+        # before it stopped at discrete colorings; the second goes on with
+        # TS, TS_2 and TS_3 of a base whose TS (31 nodes) is a slow search
         h = hashlib.sha256()
         for n in range(1, 8):
             for g in enumerate_graphs(n):
                 h.update(repr(canonical_labeling(g)).encode())
         assert h.hexdigest() == \
             "d082f8c68f7a4f860c202531b0cf494c3a6f205f2381c942ebe3ebb6a101f795"
+        base = make_graph(6, [(0, 3), (2, 5), (3, 5)])
+        for lg in (build_TS(base), build_TSk(base, 2), build_TSk(base, 3)):
+            h.update(repr(canonical_labeling(lg)).encode())
+        assert h.hexdigest() == \
+            "3b112f26af6e2508d91beed042e975655c26c3774ce197223c17b23e4a8f3ce3"
 
 
 class TestAnalyze:

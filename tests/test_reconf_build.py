@@ -254,6 +254,17 @@ class TestBuildFk:
             disjoint_union(complete(2), complete(2)), complete(2)))
         assert is_isomorphic(fk, octa)
 
+    @given(graphs(min_n=1, max_n=7), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=80, deadline=None)
+    def test_against_brute(self, g, k):
+        # every k-subset, adjacent iff the symmetric difference is an edge
+        if k > g.n:
+            return
+        fk = build_Fk(g, k)
+        subsets = {frozenset(c) for c in combinations(range(g.n), k)}
+        assert labelled_nodes(fk) == subsets
+        assert labelled_edges(fk) == brute_slide_edges(g, subsets)
+
     @given(graphs(min_n=2, max_n=6), st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_ts_is_subgraph(self, g, k):

@@ -48,10 +48,13 @@ scalars = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(alphabet=st.sampled_from('ab"\\\n\t/é€😀\x00 '), max_size=6))
 # lists of ints and of int lists take the writer's fast paths; bools
-# among them must not
+# among them must not; int rows of one length share one template
 int_lists = st.lists(st.one_of(ints, st.booleans()), max_size=5)
+equal_rows = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(ints, min_size=n, max_size=n), min_size=1, max_size=5))
 json_values = st.recursive(
-    st.one_of(scalars, int_lists, st.lists(int_lists, max_size=4)),
+    st.one_of(scalars, int_lists, st.lists(int_lists, max_size=4),
+              equal_rows),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.dictionaries(st.text(alphabet='ab"\\é', max_size=3), inner,
@@ -72,6 +75,21 @@ class TestJsonWriter:
         [float("nan"), float("-inf")], [(1, 2)], 2**70, "q\"\\é"])
     def test_edge_cases(self, obj):
         assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
+    @pytest.mark.parametrize("obj", [
+        [[i, -7 * i] for i in range(10_000)],
+        [list(range(i % 5, 2 * (i % 5))) for i in range(40)] + [[2**70]],
+        [[[i, j] for j in range(i, i + 17)] for i in range(60)],
+        [[1, 2], [3, 4], [True, False], [5, 6]],
+        [(-1) ** i * i * 37 for i in range(5_000)],
+    ], ids=["equal-pairs", "mixed-lengths", "triangulations", "bool-row",
+            "flat-ints"])
+    def test_row_shapes(self, chunk, obj):
+        with _chunk_rows(chunk):
+            for value in (obj, {"a": obj, "b": [obj]}):
+                assert _dumps(value) == json.dumps(value, sort_keys=True,
+                                                   indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 workload commands.
 
     python tools/same_stdout.py OLD_SRC NEW_SRC [--seeds 1-5]
+        [--workload NAME ...]
 
 OLD_SRC and NEW_SRC are directories holding a `tokenslide` package, such
 as the `src` of two checkouts. Every command of every workload in
 clibench/workloads.py, at every seed, runs as `python -m tokenslide.cli`
 under each tree, with that tree alone on PYTHONPATH and the command's
-stdin. Each command whose exit code or stdout SHA-256 differs between
+stdin. --workload, which may repeat, keeps only the named workloads.
+Each command whose exit code or stdout SHA-256 differs between
 the trees is printed, and the exit status is then 1; otherwise it is 0.
 """
 
@@ -49,18 +51,22 @@ def outcome(src, command):
 
 
 def main(argv=None):
+    sys.path.insert(0, str(CLIBENCH))
+    import workloads
+
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old_src", type=source_tree)
     p.add_argument("new_src", type=source_tree)
     p.add_argument("--seeds", type=seed_range, default=seed_range("1-5"),
                    help="a seed N or a range A-B (default 1-5)")
+    p.add_argument("--workload", action="append",
+                   choices=tuple(workloads.WORKLOADS),
+                   help="check only this workload; may repeat (default: all)")
     args = p.parse_args(argv)
-    sys.path.insert(0, str(CLIBENCH))
-    import workloads
 
     total = differ = 0
     for seed in args.seeds:
-        for workload in workloads.WORKLOADS:
+        for workload in args.workload or workloads.WORKLOADS:
             for cmd in workloads.make_commands(workload, seed):
                 old = outcome(args.old_src, cmd)
                 new = outcome(args.new_src, cmd)
