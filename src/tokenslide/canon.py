@@ -4,8 +4,9 @@ Color refinement seeded by degree, then backtracking over the refined
 cells. The certificate is (n, canonically relabeled edge tuple); equal
 certificates mean isomorphic. Search effort is capped by a node budget
 (TooLargeForIso) since highly symmetric graphs branch factorially.
-The automorphisms of the small graphs being enumerated come from a
-separate backtracking search within the refined cells.
+The same search yields generators of the automorphism group: the
+leaves whose certificate equals the best one, and the twin swaps it
+skipped.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from collections import Counter
 
 from .config import DEFAULT_ISO_BUDGET
 from .errors import TooLargeForIso
-from .graph import members
 
 
 def _as_adj(g):
@@ -49,17 +49,28 @@ def _refine(adj, colors):
         cells = len(index)
 
 
-def _labeling_search(n, adj, masks, budget):
-    """Minimum certificate over all discrete refinements, with its labeling.
+def _labeling_search(g):
+    """Minimum certificate over all discrete refinements of g, its
+    labeling, and what generates Aut(g).
 
     Depth first on an explicit stack: a branch (colors, pick, cell) is
     colors with vertex pick individualised in its cell. Branches are
     popped in increasing pick, so nodes are visited (and counted against
     the budget) in the order a recursion over each cell would visit them.
+
+    Every automorphism maps the best leaf to a leaf with an equal
+    certificate, which the search visits or a chain of skipped twin swaps
+    maps onto one it visits. So those leaves and swaps generate Aut(g).
+    swaps maps each skipped vertex to the twin it was first skipped for:
+    the first target cell to meet a twin class holds all of it, so those
+    pairs already join every class.
     """
+    n, adj = _as_adj(g)
+    masks = g.adjacency_masks()
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     best_cert = best_perm = None
-    visited = 0
+    leaves, swaps = [], {}
+    visited, budget = 0, DEFAULT_ISO_BUDGET
 
     def cert_of(perm):
         out = []
@@ -85,8 +96,10 @@ def _labeling_search(n, adj, masks, budget):
         target = next((a for a, b in zip(ranks, ranks[1:]) if a == b), None)
         if target is None:
             cert = cert_of(colors)
-            if best_cert is None or cert < best_cert:
-                best_cert, best_perm = cert, colors
+            if cert == best_cert:
+                leaves.append(colors)
+            elif best_cert is None or cert < best_cert:
+                best_cert, best_perm, leaves = cert, colors, []
             continue
         # swapping two twins is an automorphism fixing everything else,
         # so one representative per twin class of the cell suffices
@@ -94,50 +107,49 @@ def _labeling_search(n, adj, masks, budget):
         for v in range(n):
             if colors[v] != target:
                 continue
-            if any(masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
-                   for u in tried):
-                continue
-            tried.append(v)
+            for u in tried:
+                if masks[u] & ~(1 << v) == masks[v] & ~(1 << u):
+                    swaps.setdefault(v, u)
+                    break
+            else:
+                tried.append(v)
         stack.extend((colors, v, target) for v in reversed(tried))
-    return (n, best_cert), best_perm
+    return (n, best_cert), best_perm, leaves, swaps
 
 
-def _automorphisms(g):
-    """Every automorphism of g, as tuples p with p[v] the image of v.
+def _carry(lab1, lab2):
+    """The vertex map sending v to the vertex that lab2 puts at lab1[v]."""
+    inv = [0] * len(lab2)
+    for v, p in enumerate(lab2):
+        inv[p] = v
+    return [inv[p] for p in lab1]
 
-    Maps the vertices in turn, each into its own refined cell (which every
-    automorphism keeps) and onto a vertex whose neighbours among the images
-    so far are the images of its own. Depth first on an explicit stack of
-    partial maps, extended in increasing image as a recursion would.
-    """
-    n, adj = _as_adj(g)
-    masks = g.adjacency_masks()
-    colors = _refine(adj, list(map(len, adj)))
-    cells = [sum(1 << w for w in range(n) if colors[w] == c) for c in colors]
-    out = []
-    stack = [((), 0)]  # (images of 0..v-1, their bit set)
-    while stack:
-        perm, used = stack.pop()
-        v = len(perm)
-        if v == n:
-            out.append(perm)
-            continue
-        img = sum(1 << perm[u] for u in adj[v] if u < v)
-        for w in reversed(members(cells[v] & ~used)):
-            if masks[w] & used == img:
-                stack.append((perm + (w,), used | 1 << w))
-    return out
+
+def _generators(g):
+    """Permutations p, p[v] the image of v, that generate Aut(g): one per
+    leaf with the best certificate, and the swaps of consecutive members
+    of each twin class, which map a mask to a smaller one iff some swap
+    in the class does."""
+    (n, _), best, leaves, swaps = _labeling_search(g)
+    gens = [_carry(best, leaf) for leaf in leaves]
+    last = {}  # the greatest member of each twin class so far
+    for v, twin in sorted(swaps.items()):
+        u = last.get(twin, twin)
+        last[twin] = v
+        p = list(range(n))
+        p[u], p[v] = v, u
+        gens.append(p)
+    return gens
 
 
 def canonical_labeling(g):
     """(certificate, labeling) where labeling[v] = canonical position of v."""
-    n, adj = _as_adj(g)
-    return _labeling_search(n, adj, g.adjacency_masks(), DEFAULT_ISO_BUDGET)
+    return _labeling_search(g)[:2]
 
 
 def canonical_form(g):
     """Hashable certificate; equal certificates iff isomorphic graphs."""
-    return canonical_labeling(g)[0]
+    return _labeling_search(g)[0]
 
 
 def _cheap_invariants(adj):
@@ -163,9 +175,4 @@ def iso_map(g1, g2):
         return None
     cert1, lab1 = canonical_labeling(g1)
     cert2, lab2 = canonical_labeling(g2)
-    if cert1 != cert2:
-        return None
-    inv2 = [0] * len(lab2)
-    for v, p in enumerate(lab2):
-        inv2[p] = v
-    return [inv2[p] for p in lab1]
+    return _carry(lab1, lab2) if cert1 == cert2 else None

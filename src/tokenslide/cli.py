@@ -133,19 +133,16 @@ def _load_json_file(path):
 
 
 def _read_graph(args):
-    if getattr(args, "graph6", None):
-        return parse_graph6(args.graph6)
-    if getattr(args, "json", None):
+    if args.json is not None:
         return graph_from_json(_load_json_file(args.json))
-    if getattr(args, "stdin", False):
-        return parse_graph6(sys.stdin.readline())
-    raise InputError("no graph given; use --graph6, --json, or --stdin")
+    return parse_graph6(sys.stdin.readline() if args.stdin else args.graph6)
 
 
 def _add_graph_input(sub):
-    sub.add_argument("--graph6", help="graph6 string")
-    sub.add_argument("--json", help="path to a JSON graph file")
-    sub.add_argument("--stdin", action="store_true",
+    src = sub.add_mutually_exclusive_group(required=True)
+    src.add_argument("--graph6", help="graph6 string")
+    src.add_argument("--json", help="path to a JSON graph file")
+    src.add_argument("--stdin", action="store_true",
                      help="read one graph6 line from stdin")
 
 
@@ -189,14 +186,16 @@ def _build_parser():
                    help="search bound on base vertices")
 
     d = subs.add_parser("decompose", help="join decomposition of TS_k")
-    d.add_argument("--spec", help="path to a JoinSpec JSON file")
-    d.add_argument("--stdin", action="store_true",
-                   help="read JoinSpec JSON from stdin")
+    src = d.add_mutually_exclusive_group(required=True)
+    src.add_argument("--spec", help="path to a JoinSpec JSON file")
+    src.add_argument("--stdin", action="store_true",
+                     help="read JoinSpec JSON from stdin")
 
     m = subs.add_parser("geom", help="triangulations and flip graphs")
-    m.add_argument("--points", help="JSON list of [x, y] integer pairs")
-    m.add_argument("--stdin", action="store_true",
-                   help="read the points JSON from stdin")
+    src = m.add_mutually_exclusive_group(required=True)
+    src.add_argument("--points", help="JSON list of [x, y] integer pairs")
+    src.add_argument("--stdin", action="store_true",
+                     help="read the points JSON from stdin")
     m.add_argument("--check", action="store_true",
                    help="report the general-position verdict")
     m.add_argument("--triangulations", action="store_true")
@@ -289,12 +288,8 @@ def _cmd_realize(args):
 
 
 def _cmd_decompose(args):
-    if args.spec:
-        data = _load_json_file(args.spec)
-    elif args.stdin:
-        data = _parse_json(sys.stdin)
-    else:
-        raise InputError("no JoinSpec given; use --spec or --stdin")
+    data = (_parse_json(sys.stdin) if args.stdin
+            else _load_json_file(args.spec))
     dec = decompose_join(join_spec_from_json(data))
     _emit(dec.to_json())
     return 0
@@ -309,12 +304,7 @@ def _json_pairs(source, what):
 
 
 def _cmd_geom(args):
-    if args.points:
-        pts = _json_pairs(args.points, "points")
-    elif args.stdin:
-        pts = _json_pairs(sys.stdin, "points")
-    else:
-        raise InputError("no points given; use --points or --stdin")
+    pts = _json_pairs(sys.stdin if args.stdin else args.points, "points")
     out = {}
     if args.check:
         verdict = check_general_position(pts)

@@ -5,16 +5,17 @@ one vertex at a time (every n-vertex graph contains an (n-1)-vertex
 induced subgraph, so extending all smaller graphs by one vertex in every
 possible way and deduplicating by canonical form is exhaustive). Both
 are returned sorted by canonical certificate for reproducible order.
-A graph g is extended only by neighbourhoods least in their Aut(g)
-orbit: any other one repeats the class of a smaller mask on the same g,
-so the first graph seen of each class, its representative, is unchanged.
+A graph g is extended only by neighbourhoods that no generator of Aut(g)
+maps to a smaller mask. They include the least of each Aut(g) orbit, and
+any other mask repeats the class of a smaller mask on the same g, so the
+first graph seen of each class, its representative, is unchanged.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .canon import _automorphisms, canonical_form
+from .canon import _generators, canonical_form
 from .errors import NTooLarge
 from .graph import Graph, make_graph, members
 from .props import is_connected
@@ -37,16 +38,13 @@ def enumerate_trees(n):
 
 
 def _orbit_minima(g):
-    """Neighbourhood masks of a new vertex that are least in their Aut(g)
-    orbit, ascending; masks in one orbit extend g to isomorphic graphs."""
-    auts = _automorphisms(g)
-    images, out = set(), []
-    for mask in range(1 << g.n):
-        if mask not in images:
-            out.append(mask)
-            vs = members(mask)
-            images.update(sum(1 << p[v] for v in vs) for p in auts)
-    return out
+    """Neighbourhood masks of a new vertex that no generator of Aut(g)
+    maps to a smaller mask, ascending. They hold the least mask of each
+    Aut(g) orbit, and masks in one orbit extend g to isomorphic graphs."""
+    gens = _generators(g)
+    return [mask for mask in range(1 << g.n)
+            if all(sum(1 << p[v] for v in members(mask)) >= mask
+                   for p in gens)]
 
 
 @lru_cache(maxsize=None)

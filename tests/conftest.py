@@ -86,6 +86,26 @@ def to_networkx(g):
     return h
 
 
+def check_generators(g):
+    """Each of canon._generators(g) is an automorphism of g, and their
+    closure has as many elements as networkx finds automorphisms."""
+    from tokenslide.canon import _generators
+
+    gens = [tuple(p) for p in _generators(g)]
+    edges = edge_set(g)
+    for p in gens:
+        assert sorted(p) == list(range(g.n))
+        assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+    group = frontier = {tuple(range(g.n))}
+    while frontier:
+        frontier = {tuple(q[x] for x in p) for p in frontier
+                    for q in gens} - group
+        group = group | frontier
+    nxg = to_networkx(g)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
+    assert len(group) == sum(1 for _ in matcher.isomorphisms_iter())
+
+
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return make_graph(n, edges)

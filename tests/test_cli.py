@@ -516,6 +516,26 @@ class TestHarness:
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    # each command reads exactly one input source
+    @pytest.mark.parametrize("argv", [
+        ["build", "--graph6", "Bg", "--json", "g.json", "--k", "1"],
+        ["build", "--graph6", "Bg", "--stdin", "--k", "1"],
+        ["build", "--k", "1"],
+        ["analyze", "--json", "g.json", "--stdin"],
+        ["analyze"],
+        ["decompose", "--spec", "s.json", "--stdin"],
+        ["decompose"],
+        ["geom", "--points", PTS_JSON, "--stdin", "--check"],
+        ["geom", "--check"],
+    ])
+    def test_input_source_conflict_or_missing_is_exit_2(
+            self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bg\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--stdin" in err
+
     @pytest.mark.parametrize("case", [
         "build-k-zero", "analyze-ts-zero", "points-not-pairs",
         "points-not-json", "lawson-segment-of-one", "json-edge-of-one",

@@ -53,6 +53,7 @@ from tokenslide.props import _dsatur, _planar
 
 from conftest import (
     brute_cliques,
+    check_generators,
     edge_set,
     graphs,
     kite,
@@ -827,6 +828,26 @@ class TestIsomorphism:
         g = disjoint_union(complete_bipartite(8, 8), complete_bipartite(8, 8))
         with pytest.raises(TooLargeForIso):
             canonical_labeling(g)
+
+    # search nodes recorded before the search returned automorphism
+    # generators; recording them must not change the search
+    @pytest.mark.parametrize("name,nodes", [("petersen", 221),
+                                            ("k33+k33", 49)])
+    def test_search_nodes(self, monkeypatch, name, nodes):
+        from tokenslide import canon
+
+        g = petersen() if name == "petersen" else disjoint_union(
+            complete_bipartite(3, 3), complete_bipartite(3, 3))
+        monkeypatch.setattr(canon, "DEFAULT_ISO_BUDGET", nodes)
+        assert canonical_labeling(g) == reference_labeling(g)
+        monkeypatch.setattr(canon, "DEFAULT_ISO_BUDGET", nodes - 1)
+        with pytest.raises(TooLargeForIso):
+            canonical_labeling(g)
+
+    @given(symmetric_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_generators_on_symmetric_graphs(self, g):
+        check_generators(g)
 
     def test_iso_map_rejects_degrees_before_labeling(self, monkeypatch):
         from tokenslide import canon

@@ -1,0 +1,56 @@
+"""tools/same_stdout.py tells equal source trees from ones whose stdout
+differs, on the `analyze` workload at one seed."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tokenslide
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(tokenslide.__file__).resolve().parent
+
+
+def copy_src(dest):
+    shutil.copytree(PACKAGE, dest / "tokenslide",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def same_stdout(old, new):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_stdout.py"), str(old),
+         str(new), "--workload", "analyze", "--seeds", "1"],
+        capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def parent(tmp_path_factory):
+    return copy_src(tmp_path_factory.mktemp("old"))
+
+
+def test_equal_trees(parent, tmp_path):
+    proc = same_stdout(parent, copy_src(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 of 5 commands differ\n"
+
+
+def test_one_extra_byte(parent, tmp_path):
+    cli = copy_src(tmp_path) / "tokenslide" / "cli.py"
+    text = cli.read_text()
+    emit_end = '    _encode(obj, "\\n", sys.stdout.write)\n' \
+        '    sys.stdout.write("\\n")\n'
+    assert emit_end in text
+    cli.write_text(text.replace(emit_end, emit_end.replace(
+        'write("\\n")', 'write("\\n ")')))
+    proc = same_stdout(parent, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "5 of 5 commands differ"
+    assert len(lines) == 6
+    for line in lines[:-1]:
+        assert line.startswith("seed 1 analyze-")
+        assert ": exit 0 -> 0, stdout " in line
