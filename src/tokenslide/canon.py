@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .config import DEFAULT_ISO_BUDGET
+from . import config
 from .errors import TooLargeForIso
 
 
@@ -70,7 +70,7 @@ def _labeling_search(g):
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     best_cert = best_perm = None
     leaves, swaps = [], {}
-    visited, budget = 0, DEFAULT_ISO_BUDGET
+    visited, budget = 0, config.DEFAULT_ISO_BUDGET
 
     def cert_of(perm):
         out = []

@@ -1,14 +1,17 @@
 """Isomorph-free enumeration of small graphs and trees.
 
-Trees come from networkx's free-tree generator; general graphs are grown
-one vertex at a time (every n-vertex graph contains an (n-1)-vertex
-induced subgraph, so extending all smaller graphs by one vertex in every
-possible way and deduplicating by canonical form is exhaustive). Both
-are returned sorted by canonical certificate for reproducible order.
-A graph g is extended only by neighbourhoods that no generator of Aut(g)
-maps to a smaller mask. They include the least of each Aut(g) orbit, and
-any other mask repeats the class of a smaller mask on the same g, so the
-first graph seen of each class, its representative, is unchanged.
+Trees are the rooted level sequences of Beyer & Hedetniemi (1980) that
+the centre test of Wright, Richmond, Odlyzko & McKay (1986) accepts, the
+same labelled trees as networkx's WROM nonisomorphic_trees. General
+graphs are grown one vertex at a time (every n-vertex graph contains an
+(n-1)-vertex induced subgraph, so extending all smaller graphs by one
+vertex in every possible way and deduplicating by canonical form is
+exhaustive). Both are returned sorted by canonical certificate for
+reproducible order. A graph g is extended only by neighbourhoods that
+no generator of Aut(g) maps to a smaller mask. They include the least
+of each Aut(g) orbit, and any other mask repeats the class of a smaller
+mask on the same g, so the first graph seen of each class, its
+representative, is unchanged.
 """
 
 from __future__ import annotations
@@ -31,10 +34,34 @@ def enumerate_trees(n):
     if n == 1:
         trees = [make_graph(1, [])]
     else:
-        import networkx as nx  # only here, so other commands never load it
-
-        trees = [make_graph(n, t.edges()) for t in nx.nonisomorphic_trees(n)]
+        trees = [make_graph(n, edges) for edges in _tree_edges(n)]
     return sorted(trees, key=canonical_form)
+
+
+def _tree_edges(n):
+    """Edge lists of one tree per isomorphism class on n >= 2 vertices.
+
+    Walks every rooted level sequence from the path [0, 1, ..., n-1] and
+    keeps those whose first root subtree, left, is lower than the rest,
+    or as high and no larger in (size, sequence). Vertex i is joined to
+    the last earlier vertex one level up.
+    """
+    seq = list(range(n))
+    while True:
+        m = (seq + [1]).index(1, 2)  # the root's second child, else n
+        left, rest = [v - 1 for v in seq[1:m]], [0] + seq[m:]
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            edges, last = [], {}
+            for i, v in enumerate(seq):
+                if v:
+                    edges.append((last[v - 1], i))
+                last[v] = i
+            yield edges
+        p = max(i for i, v in enumerate(seq) if v != 1)
+        if p == 0:
+            return
+        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        seq[p:] = (seq[q:p] * n)[:n - p]  # seq[q:p] repeated to the end
 
 
 def _orbit_minima(g):

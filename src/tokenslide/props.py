@@ -489,6 +489,7 @@ def _max_clique(g, stop_at=None):
     for i, v in enumerate(order):
         rank[v] = i
     best = min(n, 1)
+    budget = [config.DEFAULT_SEARCH_BUDGET]  # one for all the searches
     for v in order:
         if stop_at is not None and best >= stop_at:
             break
@@ -506,7 +507,8 @@ def _max_clique(g, stop_at=None):
                     row |= 1 << j
             comp.append(full & ~row)
         best = max(best, 1 + _max_stable_in_masks(
-            len(later), comp, None if stop_at is None else stop_at - 1))
+            len(later), comp, None if stop_at is None else stop_at - 1,
+            budget))
     return best
 
 
@@ -527,14 +529,16 @@ def has_clique(g, s):
 # coloring
 
 
-def _try_color(n, adj, order, s):
+def _try_color(n, adj, order, s, budget=None):
     """Backtracking s-coloring over the given vertex order.
 
     Depth idx colors order[idx]; going back to a depth resumes after the
     color it last tried, so colors are tried in increasing order. Each
-    step forward or back spends one unit of the search budget.
+    step forward or back spends one unit of the search budget, a
+    one-item list of the steps left that several tries may share.
     """
-    left = config.DEFAULT_SEARCH_BUDGET
+    budget = budget or [config.DEFAULT_SEARCH_BUDGET]
+    left = budget[0]
     m = len(order)
     color = [-1] * n
     resume = [0] * m  # next color to try at each depth
@@ -564,6 +568,7 @@ def _try_color(n, adj, order, s):
         idx += 1
         if idx < m:
             resume[idx] = 0
+    budget[0] = left
     return idx == m
 
 
@@ -608,8 +613,9 @@ def _chromatic(n, adj, low):
     if n == 0:
         return 0
     high = max(_dsatur(n, adj)) + 1
+    budget = [config.DEFAULT_SEARCH_BUDGET]  # one for all the tries
     for s in range(low, high):
-        if _try_color(n, adj, _coloring_order(n, adj), s):
+        if _try_color(n, adj, _coloring_order(n, adj), s, budget):
             return s
     return high
 

@@ -17,8 +17,6 @@ from .io import write_graph6
 from .props import _planar
 from .reconf import build_TS
 
-SEARCH_NAMES = ("trees7", "trees8", "planar6", "cycles-planarity")
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -45,21 +43,24 @@ def _ts_planar_verdict(g):
     }
 
 
+# name -> the graphs a search tallies, in report order
+_SEARCHES = {
+    "trees7": lambda: enumerate_trees(7),
+    "trees8": lambda: enumerate_trees(8),
+    "planar6": lambda: [g for g in enumerate_connected_graphs(6)
+                        if _planar(g.edges())],
+    "cycles-planarity": lambda: [cycle(n) for n in range(3, 9)],
+}
+SEARCH_NAMES = tuple(_SEARCHES)
+
+
 def run_search(name):
     """Run one named search."""
     start = time.monotonic()
-    if name == "trees7":
-        graphs = enumerate_trees(7)
-    elif name == "trees8":
-        graphs = enumerate_trees(8)
-    elif name == "planar6":
-        graphs = [g for g in enumerate_connected_graphs(6)
-                  if _planar(g.edges())]
-    elif name == "cycles-planarity":
-        graphs = [cycle(n) for n in range(3, 9)]
-    else:
+    if name not in _SEARCHES:
         raise UnknownSearch(
             f"unknown search {name!r}; choices: {', '.join(SEARCH_NAMES)}")
+    graphs = _SEARCHES[name]()
     verdicts = [_ts_planar_verdict(g) for g in graphs]
     if name == "cycles-planarity":
         for v, g in zip(verdicts, graphs):

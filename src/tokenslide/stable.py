@@ -120,14 +120,16 @@ def all_independent_sets(g):
     return StableSetFamily(g, "all", tuple(masks))
 
 
-def _max_stable_in_masks(n, masks, stop_at=None):
+def _max_stable_in_masks(n, masks, stop_at=None, budget=None):
     """Max independent set size over an adjacency mask list.
 
     With stop_at set, returns early once a set of that size is found.
     Branches depth first on an explicit stack, taking the pick first;
-    each pop spends one unit of the search budget.
+    each pop spends one unit of the search budget. budget, a one-item
+    list of the steps left, lets several searches share one budget.
     """
-    left = config.DEFAULT_SEARCH_BUDGET
+    budget = budget or [config.DEFAULT_SEARCH_BUDGET]
+    left = budget[0]
     best = 0
     stack = [((1 << n) - 1, 0)]  # (candidates, size of the set so far)
     while stack:
@@ -151,6 +153,7 @@ def _max_stable_in_masks(n, masks, stop_at=None):
             continue
         stack.append((cand & ~(1 << pick), size))
         stack.append((cand & ~(1 << pick) & ~masks[pick], size + 1))
+    budget[0] = left
     return best
 
 

@@ -80,6 +80,25 @@ class TestGen:
         assert code == 0
         assert len(out.strip().splitlines()) == 11
 
+    # stdout SHA-256 of `gen --trees n` as printed when the trees came
+    # from networkx's nonisomorphic_trees: pins each tree's labelling
+    @pytest.mark.parametrize("n,sha", [
+        (1, "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46"),
+        (2, "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9"),
+        (3, "881159da90c6f28631b6a3eafd6d6d13cda0d0e4cc09d828374719d272f3da34"),
+        (4, "fca32a9fe1fd1a400c423e69ebee00e2a06fb15691a3b08274f2950e9c7e7a02"),
+        (5, "cadaf2507e308dfd2348560b661a75cb5cd600724913693e828e0e1b7018f29a"),
+        (6, "bc7dfc8e00d1cd74b1a4ff950ea5a23a0d419f333c84aae12432f60db5ce3335"),
+        (7, "1f4ab77681e0e4d7bcc864f8a4c9d7fc657d4bab7b488af85ff943585a973dd4"),
+        (8, "6b01819566cb3a830636e8158d2e56d5a21b3111661bef146c2c4a6bdfa1228c"),
+        (9, "f386cad27139d53e87e5294de9d436936ef5b82c1a36ae2e76037e81372a1199"),
+        (10, "76fe6681e5e0d08123d332c3cc89fe41355258894858118ed6a631dc71b2b10f"),
+    ])
+    def test_trees_golden_stdout(self, capsys, n, sha):
+        code, out, err = run(capsys, "gen", "--trees", str(n))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
     def test_connected(self, capsys):
         code, out, _ = run(capsys, "gen", "--connected", "4")
         assert code == 0
@@ -830,10 +849,18 @@ class TestHarness:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == write_graph6(path(3))
 
-    def test_only_tree_enumeration_loads_networkx(self, tmp_path):
-        """networkx is imported by tree enumeration alone: a fresh process
-        runs every other command through cli.main without loading it, and
-        loads it for `search trees7`."""
+    def test_runtime_needs_no_dependency(self):
+        """pyproject.toml declares no runtime dependency: the package runs
+        on the standard library, and networkx is in the test extra."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["dependencies"] == []
+
+    def test_no_command_needs_networkx(self, tmp_path):
+        """A fresh process in which `import networkx` fails runs every
+        command through cli.main, tree enumeration included."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(TestDecompose.SPEC))
         runs = [
@@ -845,21 +872,22 @@ class TestHarness:
             ["realize", "--search", write_graph6(complete(4)), "--k", "2",
              "--max-n", "5"],
             ["gen", "--connected", "5"],
+            ["gen", "--trees", "10"],
             ["search", "planar6"],
+            ["search", "trees7"],
+            ["search", "trees8"],
         ]
         snippet = ("import contextlib, io, json, sys\n"
+                   "sys.modules['networkx'] = None  # import raises\n"
                    "from tokenslide.cli import main\n"
                    "for argv in json.loads(sys.argv[1]):\n"
                    "    with contextlib.redirect_stdout(io.StringIO()):\n"
                    "        assert main(argv) == 0, argv\n"
-                   "    print(argv[0], 'networkx' in sys.modules)\n")
-        r = subprocess.run(
-            [sys.executable, "-c", snippet,
-             json.dumps(runs + [["search", "trees7"]])],
-            capture_output=True, text=True, env=package_env())
+                   "    print(argv[0])\n")
+        r = subprocess.run([sys.executable, "-c", snippet, json.dumps(runs)],
+                           capture_output=True, text=True, env=package_env())
         assert r.returncode == 0, r.stderr
-        assert r.stdout.split("\n") == [
-            f"{argv[0]} False" for argv in runs] + ["search True", ""]
+        assert r.stdout.split("\n") == [argv[0] for argv in runs] + [""]
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_reader_closing_stdout_is_exit_1(self, fmt):

@@ -357,6 +357,17 @@ class TestTreeEnumeration:
                 for seq in itertools.product(range(n), repeat=n - 2)}
         assert len(enumerate_trees(n)) == len(reps)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_same_labelled_trees_as_networkx(self, n):
+        # the graph6 printed for a tree depends on its labelling, so each
+        # labelled edge set must be one that networkx yields
+        def labelled(trees):
+            return sorted(sorted(tuple(sorted(e)) for e in t.edges())
+                          for t in trees)
+
+        assert labelled(enumerate_trees(n)) == \
+            labelled(nx.nonisomorphic_trees(n))
+
     def test_all_are_trees_and_distinct(self):
         from tokenslide import canonical_form
 

@@ -254,6 +254,30 @@ class TestSearchBudget:
         with pytest.raises(TooLargeForSearch):
             is_s_partite(cycle(9), 2)
 
+    # One call spends at most one budget per search kind. clique_number
+    # of TS_3(C_12) runs local searches of at most 5 steps each, 382 in
+    # all. chromatic_number of the Groetzsch graph tries 2 and then 3
+    # colours, 174 steps in all, and neither try takes 155.
+    def test_local_clique_searches_share_one_budget(self, monkeypatch):
+        from tokenslide import config
+
+        g = build_TSk(cycle(12), 3)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 5)
+        with pytest.raises(TooLargeForSearch):
+            clique_number(g)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 382)
+        assert clique_number(g) == 2
+
+    def test_colouring_tries_share_one_budget(self, monkeypatch):
+        from tokenslide import config
+
+        g = make_graph(11, nx.mycielski_graph(4).edges())
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 155)
+        with pytest.raises(TooLargeForSearch):
+            chromatic_number(g)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 174)
+        assert chromatic_number(g) == 4
+
 
 class TestGirth:
     @given(graphs())
@@ -822,9 +846,9 @@ class TestIsomorphism:
         assert is_isomorphic(build_TSk(kite(), 2), paw())
 
     def test_budget(self, monkeypatch):
-        from tokenslide import canon
+        from tokenslide import config
 
-        monkeypatch.setattr(canon, "DEFAULT_ISO_BUDGET", 10)
+        monkeypatch.setattr(config, "DEFAULT_ISO_BUDGET", 10)
         g = disjoint_union(complete_bipartite(8, 8), complete_bipartite(8, 8))
         with pytest.raises(TooLargeForIso):
             canonical_labeling(g)
@@ -834,13 +858,13 @@ class TestIsomorphism:
     @pytest.mark.parametrize("name,nodes", [("petersen", 221),
                                             ("k33+k33", 49)])
     def test_search_nodes(self, monkeypatch, name, nodes):
-        from tokenslide import canon
+        from tokenslide import config
 
         g = petersen() if name == "petersen" else disjoint_union(
             complete_bipartite(3, 3), complete_bipartite(3, 3))
-        monkeypatch.setattr(canon, "DEFAULT_ISO_BUDGET", nodes)
+        monkeypatch.setattr(config, "DEFAULT_ISO_BUDGET", nodes)
         assert canonical_labeling(g) == reference_labeling(g)
-        monkeypatch.setattr(canon, "DEFAULT_ISO_BUDGET", nodes - 1)
+        monkeypatch.setattr(config, "DEFAULT_ISO_BUDGET", nodes - 1)
         with pytest.raises(TooLargeForIso):
             canonical_labeling(g)
 
