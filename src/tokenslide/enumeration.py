@@ -12,6 +12,16 @@ no generator of Aut(g) maps to a smaller mask. They include the least
 of each Aut(g) orbit, and any other mask repeats the class of a smaller
 mask on the same g, so the first graph seen of each class, its
 representative, is unchanged.
+
+A caller that wants only some graphs on n vertices passes a predicate
+keep, which must be an isomorphism invariant. The loop applies it to
+each extension before canonising it (McKay 1998: reject by a cheap
+invariant before paying for the canonical label). keep accepts either
+every graph of a class or none of them, so it drops whole classes: each
+kept class has the same first-seen representative and the same place
+in canonical order as in the full layer, and the result is the full
+layer filtered by keep. Only the layer asked for is filtered; the
+smaller layers are the full, cached ones, as parents must be.
 """
 
 from __future__ import annotations
@@ -74,28 +84,47 @@ def _orbit_minima(g):
                    for p in gens)]
 
 
-@lru_cache(maxsize=None)
-def _graph_layer(n):
-    if n == 1:
-        return (make_graph(1, []),)
+def _layer(n, keep=None):
+    """The graphs on n vertices that keep accepts, all if keep is None,
+    one per isomorphism class in canonical order."""
     seen = {}
-    for g in _graph_layer(n - 1):
-        for nbrs in _orbit_minima(g):
-            adj = [a | (nbrs >> v & 1) << n - 1 for v, a in enumerate(g._adj)]
-            adj.append(nbrs)
-            h = Graph(n, adj)
+    for h in _extensions(n):
+        if keep is None or keep(h):
             seen.setdefault(canonical_form(h), h)
     return tuple(seen[c] for c in sorted(seen))
 
 
-def enumerate_graphs(n):
-    """One representative per isomorphism class of all graphs on n vertices."""
+def _extensions(n):
+    """Each graph on n - 1 vertices with one vertex added, joined to an
+    orbit minimum of its neighbourhoods; the lone vertex for n == 1."""
+    if n == 1:
+        yield make_graph(1, [])
+        return
+    for g in _graph_layer(n - 1):
+        for nbrs in _orbit_minima(g):
+            adj = [a | (nbrs >> v & 1) << n - 1 for v, a in enumerate(g._adj)]
+            adj.append(nbrs)
+            yield Graph(n, adj)
+
+
+@lru_cache(maxsize=None)
+def _graph_layer(n):
+    return _layer(n)
+
+
+def enumerate_graphs(n, keep=None):
+    """One representative per isomorphism class of all graphs on n vertices.
+
+    With keep, an isomorphism invariant, the result equals
+    [g for g in enumerate_graphs(n) if keep(g)], but keep runs before
+    each candidate is canonised, so rejected ones cost no canonical form.
+    """
     if not 1 <= n <= GRAPHS_MAX_N:
         raise NTooLarge(
             f"graph enumeration supports 1..{GRAPHS_MAX_N}, got {n}")
-    return list(_graph_layer(n))
+    return list(_graph_layer(n) if keep is None else _layer(n, keep))
 
 
 def enumerate_connected_graphs(n):
     """Connected members of enumerate_graphs(n), same order."""
-    return [g for g in enumerate_graphs(n) if is_connected(g)]
+    return enumerate_graphs(n, is_connected)

@@ -275,18 +275,19 @@ def _kuratowski_edges(edges):
     edges one by one does, so each kept edge is the last edge of the
     shortest prefix whose removal makes the graph planar: gallop to
     bracket that prefix, then bisect. That is about log m planarity tests
-    per kept edge instead of one per edge.
+    per kept edge instead of one per edge. Planarity only appears as the
+    prefix grows, so any bracket gives the same cut. The first cut of a
+    large graph lies near the end of its edges, so the first gallop runs
+    back from the end and tests short suffixes first; later ones run on.
     """
     kept, rest = [], list(edges)
-    while rest:
-        lo, step = 0, 1
-        while True:  # gallop; kept + rest[lo:] is non-planar
-            hi = min(lo + step, len(rest))
-            if _planar(kept + rest[hi:]):
-                break
-            if hi == len(rest):
-                return kept
-            lo, step = hi, step * 2
+    lo, hi, step = 0, len(rest), 1
+    while lo < hi - step:  # gallop back; rest[hi:] is planar
+        if not _planar(rest[hi - step:]):
+            lo = hi - step
+            break
+        hi, step = hi - step, step * 2
+    while True:
         while hi - lo > 1:  # bisect; kept + rest[hi:] is planar
             mid = (lo + hi) // 2
             if _planar(kept + rest[mid:]):
@@ -295,7 +296,14 @@ def _kuratowski_edges(edges):
                 lo = mid
         kept.append(rest[hi - 1])
         rest = rest[hi:]
-    return kept
+        lo, step = 0, 1
+        while True:  # gallop on; kept + rest[lo:] is non-planar
+            if lo == len(rest):
+                return kept
+            hi = min(lo + step, len(rest))
+            if _planar(kept + rest[hi:]):
+                break
+            lo, step = hi, step * 2
 
 
 def is_planar(g):

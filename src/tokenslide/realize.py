@@ -235,16 +235,6 @@ def realize_disjoint_union(parts, k):
     return _realized(target, k, make_graph(off, edges), vertex.__getitem__)
 
 
-def _candidate_matches(g, target, k, target_edges):
-    fam = independent_sets_of_size(g, k)
-    if len(fam) != target.n:
-        return None
-    ts = build_TSk(g, k)
-    if ts.num_edges() != target_edges:
-        return None
-    return iso_map(ts, target)
-
-
 def search_realizer(target, k, max_n):
     """Exhaustive base search over isomorph-free graphs up to max_n vertices.
 
@@ -257,9 +247,19 @@ def search_realizer(target, k, max_n):
     _require(max_n >= 1, f"max_n must be >= 1, got {max_n}")
     _require(k >= 1, f"k must be >= 1, got {k}")
     target_edges = target.num_edges()
+
+    def fits(g):  # an isomorphism invariant: one node per stable k-set
+        return len(independent_sets_of_size(g, k)) == target.n
+
     for m in range(1, max_n + 1):
-        for g in enumerate_graphs(m):
-            res = _candidate_matches(g, target, k, target_edges)
-            if res is not None:
-                return Realization(target, k, g, tuple(res))
+        # the layers below max_n are built in full anyway, as parents of
+        # the next; the top one drops misfits before canonising them
+        graphs = (enumerate_graphs(m, fits) if m == max_n
+                  else filter(fits, enumerate_graphs(m)))
+        for g in graphs:
+            ts = build_TSk(g, k)
+            if ts.num_edges() == target_edges:
+                res = iso_map(ts, target)
+                if res is not None:
+                    return Realization(target, k, g, tuple(res))
     return NoneUpTo(max_n)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .enumeration import enumerate_connected_graphs, enumerate_trees
+from .enumeration import enumerate_graphs, enumerate_trees
 from .errors import UnknownSearch
 from .graph import cycle
 from .io import write_graph6
-from .props import _planar
+from .props import _planar, is_connected
 from .reconf import build_TS
 
 
@@ -47,8 +47,8 @@ def _ts_planar_verdict(g):
 _SEARCHES = {
     "trees7": lambda: enumerate_trees(7),
     "trees8": lambda: enumerate_trees(8),
-    "planar6": lambda: [g for g in enumerate_connected_graphs(6)
-                        if _planar(g.edges())],
+    "planar6": lambda: enumerate_graphs(
+        6, lambda g: is_connected(g) and _planar(g.edges())),
     "cycles-planarity": lambda: [cycle(n) for n in range(3, 9)],
 }
 SEARCH_NAMES = tuple(_SEARCHES)

@@ -295,14 +295,22 @@ class TestRealize:
                       write_graph6(diamond()), "--k", "2", "--max-n", "4")
         assert js == {"found": False, "max_n": 4}
 
-    # stdout SHA-256 per argv. The search hit depends on the enumeration
-    # order and was recorded when every extension of every smaller graph
-    # was canonised; the family and split outputs pin each construction's
-    # base and witness_iso, recorded when every constructor built TS_k
-    # itself to read its witness off the node labels
+    # stdout SHA-256 per argv. The search hits depend on the enumeration
+    # order and were recorded when every extension of every smaller graph
+    # was canonised. P_3 finds its base below the top layer; K_4 finds
+    # it on the top layer (base 24 of the 34 graphs on 5 vertices) and
+    # "HrGiACD" too (base 522 of the 1,044 graphs on 7 vertices), where
+    # the search keeps only candidates with as many stable k-sets as the
+    # target has vertices. The family and split outputs pin each
+    # construction's base and witness_iso, recorded when every
+    # constructor built TS_k itself to read its witness off the node labels
     GOLDEN = {
         ("--search", "Bg", "--k", "2", "--max-n", "5"):
             "aadef507ad4ddd41b86d49af478e348e4c2e51eec26f94f9171476e22df11e62",
+        ("--search", "C~", "--k", "2", "--max-n", "5"):  # K_4
+            "632c78a19dec52dcc29dbef64e37d87e4ed7a19c1b7229e930b55151b2c1ca7f",
+        ("--search", "HrGiACD", "--k", "2", "--max-n", "7"):
+            "421277409b3904182264b8ee15e9ee43c57f70caab61a0302dbc3387177f1f8f",
         ("--family", "complete", "--n", "2", "--k", "2"):
             "d07ccc507926331d73735726b15b95db2f6a4acc7bd47fa449d97576be339607",
         ("--family", "complete", "--n", "4", "--k", "3"):
@@ -333,6 +341,7 @@ class TestRealize:
         assert write_graph6(path(3)) == "Bg"
         assert write_graph6(paw()) == "Cx"
         assert write_graph6(star(3)) == "Cs"
+        assert write_graph6(complete(4)) == "C~"
         for argv, digest in self.GOLDEN.items():
             code, out, err = run(capsys, "realize", *argv)
             assert code == 0, (argv, err)

@@ -29,7 +29,9 @@ from tokenslide import (
     export_dot,
     graph_from_json,
     graph_to_json,
+    independent_sets_of_size,
     induced_subgraph,
+    is_connected,
     is_isomorphic,
     join,
     make_graph,
@@ -40,6 +42,7 @@ from tokenslide import (
     write_graph6,
 )
 from tokenslide.graph import WIDTH_MAX, members
+from tokenslide.props import _planar
 
 from conftest import (
     brute_stable_sets,
@@ -403,6 +406,25 @@ class TestGraphEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_counts(self, n):
         assert len(enumerate_connected_graphs(n)) == self.KNOWN_CONNECTED[n - 1]
+
+    # isomorphism invariants the enumeration may test before canonising
+    KEEPS = {
+        "connected": is_connected,
+        "no edges": lambda g: g.num_edges() == 0,
+        "6 edges": lambda g: g.num_edges() == 6,
+        "10 edges": lambda g: g.num_edges() == 10,
+        "5 stable pairs": lambda g: len(independent_sets_of_size(g, 2)) == 5,
+        "8 stable pairs": lambda g: len(independent_sets_of_size(g, 2)) == 8,
+        "connected planar": lambda g: is_connected(g) and _planar(g.edges()),
+    }
+
+    @pytest.mark.parametrize("keep", list(KEEPS))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_filtered_equals_filtered_layer(self, n, keep):
+        # same classes, same representatives, same order
+        keep = self.KEEPS[keep]
+        want = [write_graph6(g) for g in enumerate_graphs(n) if keep(g)]
+        assert [write_graph6(g) for g in enumerate_graphs(n, keep)] == want
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_automorphisms_and_orbit_minima(self, n):

@@ -49,7 +49,7 @@ from tokenslide import (
 )
 
 from tokenslide.canon import _as_adj
-from tokenslide.props import _dsatur, _planar
+from tokenslide.props import _dsatur, _kuratowski_edges, _planar
 
 from conftest import (
     brute_cliques,
@@ -581,6 +581,22 @@ class TestPlanarity:
         assert not planar
         assert classify_subdivision(ts.num_nodes(), witness)
         assert 0 < len(calls) <= 100
+
+    def test_witness_first_cut_tests_short_suffixes(self, monkeypatch):
+        # TS_5(P_24) has 58,140 edges and its first cut lies near their
+        # end: galloping from the start passed 833,006 edges to _planar,
+        # galloping back from the end passes 1,208
+        sizes = []
+
+        def counting(edges):
+            sizes.append(len(edges))
+            return _planar(edges)
+
+        ts = build_TSk(path(24), 5)
+        monkeypatch.setattr("tokenslide.props._planar", counting)
+        witness = _kuratowski_edges(ts.edges())
+        assert classify_subdivision(ts.num_nodes(), witness)
+        assert sum(sizes) <= 2000
 
     def test_classify_subdivision_direct(self):
         k5 = nx.complete_graph(5)

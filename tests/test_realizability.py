@@ -207,7 +207,7 @@ class TestSearch:
 
     def test_max_n_cap(self, monkeypatch):
         # the cap is checked before any graph is enumerated
-        def no_enumeration(n):
+        def no_enumeration(n, keep=None):
             raise AssertionError(f"enumerated graphs on {n} vertices")
 
         monkeypatch.setattr(realize, "enumerate_graphs", no_enumeration)
@@ -216,6 +216,21 @@ class TestSearch:
                 search_realizer(path(3), 2, max_n)
         with pytest.raises(InputError):
             search_realizer(path(3), 2, 0)
+
+    def test_top_layer_canonises_only_fits(self, monkeypatch):
+        # of the 5,096 extensions of the graphs on 6 vertices, 83 have the
+        # 5 stable pairs of K_{1,4}, and only those are canonised; the
+        # smaller layers are canonised in full. Canonising every
+        # extension took 5,966 searches
+        from tokenslide import canon, enumeration
+
+        searches = []
+        labeling_search = canon._labeling_search
+        monkeypatch.setattr(canon, "_labeling_search",
+                            lambda g: searches.append(g) or labeling_search(g))
+        enumeration._graph_layer.cache_clear()
+        assert search_realizer(star(4), 2, 7) == NoneUpTo(7)
+        assert len(searches) <= 1100
 
     def test_diamond_still_appears_as_component(self):
         # non-realizable as a whole slide graph, yet a component of one
