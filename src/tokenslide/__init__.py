@@ -42,8 +42,8 @@ from .realize import (NoneUpTo, Realization, extend_with_vG,
 from .reconf import (LabeledGraph, build_Fk, build_Lk, build_TS, build_TSk,
                      build_TSk_induced)
 from .searches import SearchReport, run_search
-from .stable import (KSPartition, StableSetFamily, all_independent_sets,
-                     alpha, cliques_of_size, independent_sets_of_size,
-                     is_independent, kmax_partition, omega)
+from .stable import (KSPartition, all_independent_sets, alpha,
+                     cliques_of_size, independent_sets_of_size, is_independent,
+                     kmax_partition, omega)
 
 __version__ = "0.1.0"

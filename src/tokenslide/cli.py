@@ -153,35 +153,40 @@ def _build_parser():
     subs = p.add_subparsers(dest="command", required=True)
 
     g = subs.add_parser("gen", help="generate graphs as graph6 lines")
-    g.add_argument("--family", choices=sorted(FAMILIES))
+    what = g.add_mutually_exclusive_group(required=True)
+    what.add_argument("--family", choices=sorted(FAMILIES))
+    what.add_argument("--trees", type=int, metavar="N",
+                      help="all trees on N vertices")
+    what.add_argument("--connected", type=int, metavar="N",
+                      help="all connected graphs on N vertices")
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
-    g.add_argument("--trees", type=int, metavar="N",
-                   help="all trees on N vertices")
-    g.add_argument("--connected", type=int, metavar="N",
-                   help="all connected graphs on N vertices")
 
     b = subs.add_parser("build", help="build TS_k or TS of a graph")
     _add_graph_input(b)
-    b.add_argument("--k", type=int)
-    b.add_argument("--all", action="store_true", help="all sizes (TS)")
+    size = b.add_mutually_exclusive_group(required=True)
+    size.add_argument("--k", type=int)
+    size.add_argument("--all", action="store_true", help="all sizes (TS)")
     b.add_argument("--format", choices=("json", "dot"), default="json")
 
     a = subs.add_parser("analyze", help="property report for a graph")
     _add_graph_input(a)
-    a.add_argument("--ts", type=int, metavar="K",
-                   help="analyze TS_K of the input instead")
-    a.add_argument("--ts-all", action="store_true",
-                   help="analyze TS of the input instead")
+    slide = a.add_mutually_exclusive_group()
+    slide.add_argument("--ts", type=int, metavar="K",
+                       help="analyze TS_K of the input instead")
+    slide.add_argument("--ts-all", action="store_true",
+                       help="analyze TS of the input instead")
 
     r = subs.add_parser("realize", help="find a base whose TS_k is the target")
-    r.add_argument("--family", choices=("complete", "path", "cycle", "star"))
+    target = r.add_mutually_exclusive_group(required=True)
+    target.add_argument("--family",
+                        choices=("complete", "path", "cycle", "star"))
+    target.add_argument("--split", metavar="G6",
+                        help="realize this split graph (graph6)")
+    target.add_argument("--search", metavar="G6",
+                        help="exhaustive search for this target (graph6)")
     r.add_argument("--n", type=int)
     r.add_argument("--k", type=int, required=True)
-    r.add_argument("--split", metavar="G6",
-                   help="realize this split graph (graph6)")
-    r.add_argument("--search", metavar="G6",
-                   help="exhaustive search for this target (graph6)")
     r.add_argument("--max-n", type=int, default=6,
                    help="search bound on base vertices")
 
@@ -212,11 +217,6 @@ def _build_parser():
 
 
 def _cmd_gen(args):
-    chosen = [x for x in (args.family, args.trees, args.connected)
-              if x is not None]
-    if len(chosen) != 1:
-        raise InputError("choose exactly one of --family, --trees, "
-                         "--connected")
     if args.trees is not None:
         graphs = enumerate_trees(args.trees)
     elif args.connected is not None:
@@ -239,8 +239,6 @@ def _require_k(k, flag):
 
 def _cmd_build(args):
     g = _read_graph(args)
-    if args.all == (args.k is not None):
-        raise InputError("choose exactly one of --k or --all")
     _require_k(args.k, "--k")
     lab = build_TS(g) if args.all else build_TSk(g, args.k)
     if args.format == "dot":
@@ -252,8 +250,6 @@ def _cmd_build(args):
 
 def _cmd_analyze(args):
     g = _read_graph(args)
-    if args.ts is not None and args.ts_all:
-        raise InputError("--ts and --ts-all are mutually exclusive")
     _require_k(args.ts, "--ts")
     target = g
     if args.ts is not None:
@@ -265,10 +261,6 @@ def _cmd_analyze(args):
 
 
 def _cmd_realize(args):
-    chosen = [x for x in (args.family, args.split, args.search)
-              if x is not None]
-    if len(chosen) != 1:
-        raise InputError("choose exactly one of --family, --split, --search")
     if args.search is not None:
         result = search_realizer(parse_graph6(args.search), args.k,
                                  args.max_n)

@@ -235,5 +235,5 @@ def check_disconnection(spec, i):
         raise InputError(f"side must be 1 or 2, got {i}")
     g = spec.g1 if i == 1 else spec.g2
     h = spec.h1 if i == 1 else spec.h2
-    fam = independent_sets_of_size(g, spec.k).masks()
+    fam = independent_sets_of_size(g, spec.k)
     return all((m & h.mask).bit_count() != 1 for m in fam)

@@ -74,10 +74,12 @@ def _tree_edges(n):
         seq[p:] = (seq[q:p] * n)[:n - p]  # seq[q:p] repeated to the end
 
 
+@lru_cache(maxsize=None)
 def _orbit_minima(g):
     """Neighbourhood masks of a new vertex that no generator of Aut(g)
     maps to a smaller mask, ascending. They hold the least mask of each
-    Aut(g) orbit, and masks in one orbit extend g to isomorphic graphs."""
+    Aut(g) orbit, and masks in one orbit extend g to isomorphic graphs.
+    Cached: a filtered layer is built anew on each call, its parents not."""
     gens = _generators(g)
     return [mask for mask in range(1 << g.n)
             if all(sum(1 << p[v] for v in members(mask)) >= mask

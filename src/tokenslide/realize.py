@@ -86,7 +86,7 @@ def _realized(target, k, base, vertex_of):
     Only the stable sets are enumerated here; the Realization gate builds
     the slide graph and checks the map.
     """
-    masks = independent_sets_of_size(base, k).masks()
+    masks = independent_sets_of_size(base, k)
     return Realization(target, k, base, tuple(map(vertex_of, masks)))
 
 
@@ -226,7 +226,7 @@ def realize_disjoint_union(parts, k):
         n = p.base.n
         edges += [(a + off, b + off) for a, b in p.base.edges()]
         edges += [(a, b) for a in range(off) for b in range(off, off + n)]
-        masks = independent_sets_of_size(p.base, k).masks()
+        masks = independent_sets_of_size(p.base, k)
         vertex.update((m << off, w + t_off)
                       for m, w in zip(masks, p.witness_iso))
         off += n

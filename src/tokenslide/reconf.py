@@ -216,21 +216,21 @@ def _swap_edges(masks):
 
 def build_TSk(g, k):
     """TS_k(g): size-k independent sets, adjacent iff one token slides."""
-    masks = independent_sets_of_size(g, k).masks()
+    masks = independent_sets_of_size(g, k)
     return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)
 
 
 def build_TS(g):
     """TS(g): all non-empty independent sets; disjoint union of TS_k layers."""
-    masks = all_independent_sets(g).masks()
+    masks = all_independent_sets(g)
     return LabeledGraph._unchecked("TS", g, _slide_edges(g, masks),
                                    masks=masks)
 
 
 def build_Lk(g, k):
     """L_k(g): size-k cliques, adjacent iff they share k-1 vertices."""
-    masks = cliques_of_size(g, k).masks()
+    masks = cliques_of_size(g, k)
     return LabeledGraph._unchecked("Lk", g, _swap_edges(masks), k=k,
                                    masks=masks)
 
@@ -243,7 +243,7 @@ def build_Fk(g, k):
     if comb(g.n, k) > cap:
         raise ExplosionCap(
             f"F_{k} would have {comb(g.n, k)} nodes, budget is {cap}")
-    masks = independent_sets_of_size(make_graph(g.n, []), k).masks()
+    masks = independent_sets_of_size(make_graph(g.n, []), k)
     return LabeledGraph._unchecked("Fk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)
 

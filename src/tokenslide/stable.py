@@ -3,56 +3,20 @@
 _max_stable_in_masks is the one maximum-stable-set search of the
 package; alpha, omega and props' clique_number and has_clique call it.
 
-Families are ordered by their sorted member tuples (the order the figures
-use for set labels), which for fixed-size sets is the colex-free, plain
-lexicographic order on tuples like (0,2,4) < (0,2,5) < (0,3,4).
+Families are tuples of bit masks, ordered by their sorted member tuples
+(the order the figures use for set labels), which for fixed-size sets is
+the plain lexicographic order on tuples like (0,2,4) < (0,2,5) < (0,3,4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from . import config
 from .config import node_budget
-from .errors import ExplosionCap, NotSplit, SubsetViolation, TooLargeForSearch
-from .graph import Graph, VertexSet, _as_vset, complement, members
-
-
-@dataclass(frozen=True)
-class StableSetFamily:
-    """An ordered family of independent sets of one host graph.
-
-    Held as bit masks; `members` makes the VertexSet tuple on first use.
-    """
-
-    host: Graph
-    k: object  # a size, or the string "all"
-    _masks: tuple
-
-    @cached_property
-    def members(self):
-        n = self.host.n
-        return tuple(VertexSet(m, n) for m in self._masks)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self._masks)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-    def __contains__(self, vs):
-        return vs in set(self.members)
-
-    def masks(self):
-        return self._masks
-
-    def to_json(self):
-        return [list(members(m)) for m in self._masks]
+from .errors import ExplosionCap, NotSplit, TooLargeForSearch
+from .graph import VertexSet, _as_vset, complement, members
 
 
 @dataclass(frozen=True)
@@ -104,20 +68,19 @@ def _enumerate_stable_masks(adj, avail, k, out):
 
 
 def independent_sets_of_size(g, k):
-    """All independent k-sets of g; empty family when k exceeds alpha."""
-    masks = _enumerate_stable_masks(g._adj, (1 << g.n) - 1, k, [])
-    return StableSetFamily(g, k, tuple(masks))
+    """Masks of all independent k-sets of g; empty when k exceeds alpha."""
+    return tuple(_enumerate_stable_masks(g._adj, (1 << g.n) - 1, k, []))
 
 
 def all_independent_sets(g):
-    """All non-empty independent sets, smaller sizes first."""
+    """Masks of all non-empty independent sets, smaller sizes first."""
     masks = []
     for k in range(1, g.n + 1):
         before = len(masks)
         _enumerate_stable_masks(g._adj, (1 << g.n) - 1, k, masks)
         if len(masks) == before:
             break  # no stable set of size k, so none larger either
-    return StableSetFamily(g, "all", tuple(masks))
+    return tuple(masks)
 
 
 def _max_stable_in_masks(n, masks, stop_at=None, budget=None):
@@ -168,10 +131,9 @@ def omega(g):
 
 
 def cliques_of_size(g, k):
-    """All k-cliques of g, same ordering convention as the stable families."""
+    """Masks of all k-cliques of g, in the same order as the stable sets."""
     co = complement(g)
-    masks = _enumerate_stable_masks(co._adj, (1 << g.n) - 1, k, [])
-    return StableSetFamily(g, k, tuple(masks))
+    return tuple(_enumerate_stable_masks(co._adj, (1 << g.n) - 1, k, []))
 
 
 def _split_certificate(g):
@@ -205,9 +167,9 @@ def kmax_partition(g):
     full = (1 << g.n) - 1
     if w > 0:
         for K in cliques_of_size(g, w):
-            S = VertexSet(full & ~K.mask, g.n)
+            S = VertexSet(full & ~K, g.n)
             if is_independent(g, S):
-                return KSPartition(K, S)
+                return KSPartition(VertexSet(K, g.n), S)
     elif g.n == 0:
         return KSPartition(VertexSet(0, 0), VertexSet(0, 0))
     cert = _split_certificate(g)

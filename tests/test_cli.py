@@ -110,7 +110,7 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--family", "path", "--n", "3",
                            "--trees", "5")
         assert code == 2
-        assert "exactly one" in err
+        assert "not allowed with argument --family" in err
 
     def test_family_needs_n(self, capsys):
         assert run(capsys, "gen", "--family", "cycle")[0] == 2

@@ -229,8 +229,23 @@ class TestSearch:
         monkeypatch.setattr(canon, "_labeling_search",
                             lambda g: searches.append(g) or labeling_search(g))
         enumeration._graph_layer.cache_clear()
+        enumeration._orbit_minima.cache_clear()
         assert search_realizer(star(4), 2, 7) == NoneUpTo(7)
         assert len(searches) <= 1100
+
+    def test_second_search_reuses_orbit_minima(self, monkeypatch):
+        # the filtered top layer is not cached, but the orbit minima of
+        # its 156 parents are: a second search canonises only the 83
+        # extensions that fit, where recomputing the minima made it 239
+        from tokenslide import canon
+
+        search_realizer(star(4), 2, 7)
+        searches = []
+        labeling_search = canon._labeling_search
+        monkeypatch.setattr(canon, "_labeling_search",
+                            lambda g: searches.append(g) or labeling_search(g))
+        assert search_realizer(star(4), 2, 7) == NoneUpTo(7)
+        assert len(searches) <= 100
 
     def test_diamond_still_appears_as_component(self):
         # non-realizable as a whole slide graph, yet a component of one

@@ -32,6 +32,7 @@ from tokenslide import (
     omega,
     path,
 )
+from tokenslide.graph import members
 
 from conftest import (
     brute_cliques,
@@ -145,14 +146,15 @@ class TestBuildTS:
     @settings(max_examples=40, deadline=None)
     def test_layers_match_stable_families(self, g):
         ts = build_TS(g)
-        families = {k: independent_sets_of_size(g, k).members
+        families = {k: independent_sets_of_size(g, k)
                     for k in range(1, g.n + 1)}
         families = {k: sets for k, sets in families.items() if sets}
         sizes = ts.layer_sizes()
         assert list(sizes) == sorted(families)
         assert sizes == {k: len(sets) for k, sets in families.items()}
         for k, sets in families.items():
-            assert tuple(ts.label(i) for i in ts.layer(k)) == sets
+            assert tuple(ts.label(i).members() for i in ts.layer(k)) \
+                == tuple(map(members, sets))
 
     def test_layers_only_of_ts(self):
         ts = build_TSk(path(5), 2)

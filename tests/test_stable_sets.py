@@ -12,6 +12,9 @@ from tokenslide import (
     VertexSet,
     all_independent_sets,
     alpha,
+    build_Lk,
+    build_TS,
+    build_TSk,
     cliques_of_size,
     complement,
     complete,
@@ -28,6 +31,7 @@ from tokenslide import (
     path,
     star,
 )
+from tokenslide.graph import members
 
 from conftest import (
     brute_alpha,
@@ -82,21 +86,21 @@ class TestIndependentSetsOfSize:
 
     def test_order_lexicographic(self):
         fam = independent_sets_of_size(path(6), 2)
-        tuples = [m.members() for m in fam]
+        tuples = [members(m) for m in fam]
         assert tuples == sorted(tuples)
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_against_brute(self, g):
         for k in (1, 2, 3):
-            ours = {frozenset(m.members())
+            ours = {frozenset(members(m))
                     for m in independent_sets_of_size(g, k)}
             assert ours == brute_stable_sets(g, k)
 
     def test_members_are_independent(self):
         g = cycle(9)
         for m in independent_sets_of_size(g, 4):
-            assert is_independent(g, m)
+            assert is_independent(g, members(m))
 
     def test_alpha_boundary(self):
         g = cycle(7)
@@ -112,7 +116,7 @@ class TestIndependentSetsOfSize:
         edges = edge_set(g)
         want = [c for c in combinations(range(g.n), k)
                 if not any(p in edges for p in combinations(c, 2))]
-        got = [m.members() for m in independent_sets_of_size(g, k)]
+        got = [members(m) for m in independent_sets_of_size(g, k)]
         assert got == want
 
     def test_budget_counts_every_set_when_the_bound_prunes(
@@ -146,7 +150,7 @@ class TestAllIndependentSets:
     @given(graphs(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_against_brute(self, g):
-        ours = {frozenset(m.members()) for m in all_independent_sets(g)}
+        ours = {frozenset(members(m)) for m in all_independent_sets(g)}
         assert ours == brute_all_stable(g)
 
     @pytest.mark.parametrize("budget, n", [("4", 6), ("1000", 24)])
@@ -183,7 +187,7 @@ class TestCliquesOfSize:
     @settings(max_examples=40, deadline=None)
     def test_against_brute(self, g):
         for k in (1, 2, 3):
-            ours = {frozenset(m.members()) for m in cliques_of_size(g, k)}
+            ours = {frozenset(members(m)) for m in cliques_of_size(g, k)}
             assert ours == brute_cliques(g, k)
 
     def test_k_below_one(self):
@@ -261,14 +265,19 @@ class TestKmaxPartition:
         # the K side is unique in size but not always as a set: P_3 has two
         # maximum cliques, so "the" K-max partition needs a tie-break rule
         g = path(3)
-        cliques = [c.members() for c in cliques_of_size(g, 2)]
+        cliques = [members(c) for c in cliques_of_size(g, 2)]
         assert len(cliques) == 2
         assert kmax_partition(g).K.members() == (0, 1)
 
 
-class TestFamilyJson:
-    def test_sorted_arrays(self):
-        fam = independent_sets_of_size(cycle(5), 2)
-        js = fam.to_json()
-        assert js == sorted(js)
-        assert all(row == sorted(row) for row in js)
+class TestMaskTuples:
+    @given(graphs(max_n=9), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_same_masks_as_the_builders(self, g, k):
+        # the families are the slide graphs' node masks, in node order
+        for fam, lab in [(independent_sets_of_size(g, k), build_TSk(g, k)),
+                         (all_independent_sets(g), build_TS(g)),
+                         (cliques_of_size(g, k), build_Lk(g, k))]:
+            assert type(fam) is tuple
+            assert all(type(m) is int for m in fam)
+            assert fam == lab.label_masks()
