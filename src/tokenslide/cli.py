@@ -16,7 +16,7 @@ import os
 import sys
 import traceback
 from functools import lru_cache
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 
 from .decompose import decompose_join, join_spec_from_json
 from .enumeration import enumerate_connected_graphs, enumerate_trees
@@ -54,34 +54,34 @@ def _dumps(obj):
     """Exactly json.dumps(obj, sort_keys=True, indent=2), faster.
 
     With indent set, json falls back to its pure-Python encoder. Here
-    lists of ints and lists of such lists are written through one
-    str.format template per row length; every other scalar, and dicts
-    with non-string keys, go to json.dumps. Only exact ints qualify:
-    bool and int subclasses print differently.
+    arrays (lists or tuples, which json writes alike) of ints, and arrays
+    of such arrays, are written through one str.format template per row
+    length. In an array of arrays of int tuples, such as a list of
+    triangulations made of shared segments, each distinct tuple is
+    formatted once and each row is one join of those texts. Every other
+    scalar, and dicts with non-string keys, go to json.dumps. Only exact
+    ints qualify: bool and int subclasses print differently.
     """
     out = []
     _encode(obj, "\n", out.append)
     return "".join(out)
 
 
+_ARRAYS = {list, tuple}
+
+
 def _encode(obj, nl, write):
     # nl is a newline plus the indentation of the line obj starts on
     inner = nl + "  "
-    if type(obj) is list and obj:
+    if type(obj) in _ARRAYS and obj:
         types = set(map(type, obj))
         if types == {int}:
             write(_int_row(len(obj), nl).format(*obj))
-        elif types == {list} and {int} >= set(
-                map(type, chain.from_iterable(obj))):
-            same = len(set(map(len, obj))) == 1
-            fmt = _int_row(len(obj[0]), inner).format
+        elif types <= _ARRAYS and (
+                rows := _row_texts(obj, inner)) is not None:
             sep = "[" + inner
-            for start in range(0, len(obj), CHUNK_ROWS):
-                chunk = obj[start:start + CHUNK_ROWS]
-                write(sep + ("," + inner).join(
-                    starmap(fmt, chunk) if same else
-                    [_int_row(len(row), inner).format(*row)
-                     for row in chunk]))
+            while chunk := list(islice(rows, CHUNK_ROWS)):
+                write(sep + ("," + inner).join(chunk))
                 sep = "," + inner
             write(nl + "]")
         else:
@@ -102,9 +102,33 @@ def _encode(obj, nl, write):
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
+def _row_texts(obj, nl):
+    """The texts of the arrays in obj, rows on lines indented as nl, one
+    at a time; None unless they hold only exact ints or only tuples of
+    exact ints. Int rows fill one cached template per length. A row of
+    tuples is one join of their texts, each distinct tuple formatted
+    once however many rows hold it."""
+    kinds = set(map(type, chain.from_iterable(obj)))
+    if kinds <= {int}:
+        if len(set(map(len, obj))) == 1:
+            return starmap(_int_row(len(obj[0]), nl).format, obj)
+        return (_int_row(len(row), nl).format(*row) for row in obj)
+    # every item is typed, not one per distinct tuple: (1, True) equals
+    # (1, 1) but prints differently
+    if kinds == {tuple} and {int} >= set(
+            map(type, chain.from_iterable(chain.from_iterable(obj)))):
+        cell = nl + "  "
+        text = {t: _int_row(len(t), cell).format(*t)
+                for t in set(chain.from_iterable(obj))}.__getitem__
+        head, sep, tail = "[" + cell, "," + cell, nl + "]"
+        return (head + sep.join(map(text, row)) + tail if row else "[]"
+                for row in obj)
+    return None
+
+
 @lru_cache(maxsize=256)
 def _int_row(length, nl):
-    """The str.format template of a list of `length` exact ints that
+    """The str.format template of an array of `length` exact ints that
     starts on a line indented as nl."""
     if not length:
         return "[]"
@@ -300,24 +324,17 @@ def _cmd_geom(args):
     out = {}
     if args.check:
         verdict = check_general_position(pts)
-        out["general_position"] = {
-            "ok": verdict.ok,
-            "collinear": list(verdict.collinear) if verdict.collinear else None,
-            "cocircular": (list(verdict.cocircular)
-                           if verdict.cocircular else None),
-        }
+        out["general_position"] = {"ok": verdict.ok,
+                                   "collinear": verdict.collinear,
+                                   "cocircular": verdict.cocircular}
     if args.triangulations:
-        tris = triangulations(pts)
-        # one list per segment, shared by every triangulation holding it:
-        # the 1,653 triangulations of a 10-point set hold 74k segments
-        seg = {s: list(s) for s in set().union(*tris)}
-        out["triangulations"] = [[seg[s] for s in t] for t in tris]
+        out["triangulations"] = triangulations(pts)
     if args.flip_graph or args.check_ts_iso:
         fg = flip_graph(pts)
     if args.flip_graph:
         out["flip_graph"] = labeled_to_json(fg)
     if args.delaunay:
-        out["delaunay"] = [list(seg) for seg in delaunay(pts)]
+        out["delaunay"] = delaunay(pts)
     if args.check_ts_iso:
         # flip_graph raises unless all maximal stable sets of the crossing
         # graph have one size, so fg.k is alpha; a set the flip graph
@@ -327,8 +344,12 @@ def _cmd_geom(args):
             ok = fg.num_nodes() == 1 and fg.num_edges() == 0
         else:
             ts = build_TSk(fg.base, a)
+            # equal labels index the nodes alike; both builders give
+            # sorted rows, so equal rows are equal edge sets
+            nodes = range(fg.num_nodes())
             ok = (fg.label_masks() == ts.label_masks()
-                  and fg.edges() == ts.edges())
+                  and [*map(fg.neighbors, nodes)]
+                  == [*map(ts.neighbors, nodes)])
         out["ts_iso"] = {"isomorphic": ok, "alpha": a,
                          "triangulations": fg.num_nodes()}
     if args.lawson is not None:

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 import tokenslide
 from tokenslide import (
     InputError,
+    LabeledGraph,
     add_isolated,
     classify_subdivision,
     complete,
     cycle,
     delaunay,
+    flip_graph,
     make_graph,
     parse_graph6,
     path,
@@ -434,6 +436,26 @@ class TestGeom:
     def test_ts_iso(self, capsys):
         js = run_json(capsys, "geom", "--points", PTS_JSON, "--check-ts-iso")
         assert js["ts_iso"] == {"isomorphic": True, "alpha": 4,
+                                "triangulations": 7}
+
+    @pytest.mark.parametrize("fault", ["missing-flip", "wrong-label"])
+    def test_ts_iso_false(self, capsys, monkeypatch, fault):
+        # the flip graph of PTS_JSON less one edge, or with one label
+        # mask changed, is not TS_alpha of the crossing graph
+        fg = flip_graph(json.loads(PTS_JSON))
+        adj = [list(fg.neighbors(i)) for i in range(fg.num_nodes())]
+        masks = list(fg.label_masks())
+        if fault == "missing-flip":
+            j = adj[0].pop()
+            adj[j].remove(0)
+        else:
+            masks[0] ^= 1
+        bad = LabeledGraph._unchecked(fg.kind, fg.base,
+                                      tuple(map(tuple, adj)), k=fg.k,
+                                      masks=tuple(masks))
+        monkeypatch.setattr("tokenslide.cli.flip_graph", lambda pts: bad)
+        js = run_json(capsys, "geom", "--points", PTS_JSON, "--check-ts-iso")
+        assert js["ts_iso"] == {"isomorphic": False, "alpha": 4,
                                 "triangulations": 7}
 
     def test_lawson(self, capsys):

@@ -52,15 +52,37 @@ scalars = st.one_of(
 int_lists = st.lists(st.one_of(ints, st.booleans()), max_size=5)
 equal_rows = st.integers(0, 4).flatmap(lambda n: st.lists(
     st.lists(ints, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+def _rows_from(pool):
+    row = st.lists(st.sampled_from(pool), max_size=5)
+    return st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=5)
+
+
+# rows of tuples drawn from a small pool, so that tuples repeat as the
+# segments of triangulations do; a bool in one of them must not print
+# as the int it equals
+int_tuples = st.lists(ints, max_size=3).map(tuple)
+odd_tuples = st.lists(st.one_of(ints, st.booleans()), max_size=3).map(tuple)
+tuple_rows = st.lists(st.one_of(int_tuples, odd_tuples), min_size=1,
+                      max_size=4).flatmap(_rows_from)
 json_values = st.recursive(
     st.one_of(scalars, int_lists, st.lists(int_lists, max_size=4),
-              equal_rows),
+              equal_rows, int_lists.map(tuple), tuple_rows),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(alphabet='ab"\\é', max_size=3), inner,
                         max_size=4),
         st.dictionaries(ints, inner, max_size=3)),
     max_leaves=20)
+
+
+# the 45 segments of a 10-point set, one tuple each, shared by the rows
+# that hold it as triangulations share them
+SEGMENTS = [(a, b) for a in range(10) for b in range(a + 1, 10)]
+TRIANGULATIONS = [tuple(SEGMENTS[(7 * i + 3 * j) % 45] for j in range(17))
+                  for i in range(60)]
 
 
 class TestJsonWriter:
@@ -76,6 +98,13 @@ class TestJsonWriter:
     def test_edge_cases(self, obj):
         assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
+    def test_int_arrays_skip_json_dumps(self):
+        # tuples take the fast paths as lists do
+        obj = [(1, 2), [(1, 2), [3]], TRIANGULATIONS]
+        expected = json.dumps(obj, sort_keys=True, indent=2)
+        with mock.patch.object(json, "dumps", side_effect=AssertionError):
+            assert _dumps(obj) == expected
+
     @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
     @pytest.mark.parametrize("obj", [
         [[i, -7 * i] for i in range(10_000)],
@@ -83,8 +112,17 @@ class TestJsonWriter:
         [[[i, j] for j in range(i, i + 17)] for i in range(60)],
         [[1, 2], [3, 4], [True, False], [5, 6]],
         [(-1) ** i * i * 37 for i in range(5_000)],
+        TRIANGULATIONS,
+        [[(0, 1)], [], ((0, 1), (2, 3)), [()]],
+        [[1, 2], (True, 3), (4, 5)],
+        [[(1, 1)], [(1, True)], [(1, 1), (2, 3)]],
+        [[1, 2], (3, 4), [5], ()],
+        [(2**70, -2**65), (1, 2)],
+        [[(2**70, 1)], [(0, 3), (2**70, 1)]],
     ], ids=["equal-pairs", "mixed-lengths", "triangulations", "bool-row",
-            "flat-ints"])
+            "flat-ints", "tuple-triangulations", "empty-inner",
+            "bool-in-tuple-row", "bool-in-repeated-tuple", "list-tuple-rows",
+            "big-tuple-row", "big-repeated-tuple"])
     def test_row_shapes(self, chunk, obj):
         with _chunk_rows(chunk):
             for value in (obj, {"a": obj, "b": [obj]}):
