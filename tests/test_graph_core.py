@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -443,6 +444,61 @@ class TestGraphEnumeration:
                      if all(sum(1 << p[v] for v in range(n) if m >> v & 1)
                             >= m for p in auts)]
             assert _orbit_minima(g) == least
+
+    def test_golden_graph6(self):
+        # every representative and its place, n = 1..7
+        lines = [write_graph6(g) for n in range(1, 8)
+                 for g in enumerate_graphs(n)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "dfcd28ec516307668a9300ef70a1fa1ebc57acadd4598c148d56f67dcbd8670d"
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_deletion_test_drops_only_repeats(self, n):
+        # the unfiltered candidate loop: a candidate the deletion test
+        # drops has the class of a candidate of an earlier parent, and
+        # the first candidate seen of each class is never dropped
+        from tokenslide.canon import canonical_form
+        from tokenslide.enumeration import _earlier, _extensions
+
+        before, current, seen = set(), set(), set()
+        parent, drops = 0, 0
+        for p, h in _extensions(n):
+            if p != parent:
+                before |= current
+                parent, current = p, set()
+            cert = canonical_form(h)
+            if _earlier(p, h):
+                drops += 1
+                assert cert in before
+                assert cert in seen
+            seen.add(cert)
+            current.add(cert)
+        assert drops > 0 or n == 2
+        assert len(seen) == self.KNOWN_ALL[n - 1]
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=200, deadline=None)
+    def test_deletion_keys_are_invariants_of_subgraphs(self, g):
+        from tokenslide.enumeration import _deletion_keys, _invariant
+
+        assert list(_deletion_keys(g._adj)) == [
+            _invariant(delete_vertices(g, [v])._adj) for v in range(g.n)]
+
+    def test_cold_connected_7_search_count(self, monkeypatch):
+        # every labeling search of a cold enumerate_connected_graphs(7),
+        # parents' automorphism generators included: 1,495, where
+        # canonising every candidate that passes is_connected took 5,177
+        from tokenslide import canon, enumeration
+
+        searches = []
+        labeling_search = canon._labeling_search
+        monkeypatch.setattr(canon, "_labeling_search",
+                            lambda g: searches.append(g) or labeling_search(g))
+        for cache in (enumeration._graph_layer, enumeration._orbit_minima,
+                      enumeration._last_parent):
+            cache.cache_clear()
+        assert len(enumerate_connected_graphs(7)) == 853
+        assert len(searches) <= 1600
 
     def test_four_vertex_connected(self):
         # the six connected graphs on four vertices, pairwise non-isomorphic

@@ -219,9 +219,10 @@ class TestSearch:
 
     def test_top_layer_canonises_only_fits(self, monkeypatch):
         # of the 5,096 extensions of the graphs on 6 vertices, 83 have the
-        # 5 stable pairs of K_{1,4}, and only those are canonised; the
-        # smaller layers are canonised in full. Canonising every
-        # extension took 5,966 searches
+        # 5 stable pairs of K_{1,4}, and only the 24 of those that the
+        # deletion test keeps are canonised; the smaller layers are built
+        # in full, from cold: 439 searches in all. Canonising every
+        # extension took 5,966, and every one that fits 954
         from tokenslide import canon, enumeration
 
         searches = []
@@ -230,13 +231,15 @@ class TestSearch:
                             lambda g: searches.append(g) or labeling_search(g))
         enumeration._graph_layer.cache_clear()
         enumeration._orbit_minima.cache_clear()
+        enumeration._last_parent.cache_clear()
         assert search_realizer(star(4), 2, 7) == NoneUpTo(7)
         assert len(searches) <= 1100
 
     def test_second_search_reuses_orbit_minima(self, monkeypatch):
         # the filtered top layer is not cached, but the orbit minima of
-        # its 156 parents are: a second search canonises only the 83
-        # extensions that fit, where recomputing the minima made it 239
+        # its 156 parents are: a second search canonises only the 24
+        # extensions that fit and pass the deletion test, where
+        # recomputing the minima would make it 180
         from tokenslide import canon
 
         search_realizer(star(4), 2, 7)
