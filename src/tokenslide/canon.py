@@ -125,12 +125,12 @@ def _carry(lab1, lab2):
     return [inv[p] for p in lab1]
 
 
-def _generators(g):
-    """Permutations p, p[v] the image of v, that generate Aut(g): one per
-    leaf with the best certificate, and the swaps of consecutive members
-    of each twin class, which map a mask to a smaller one iff some swap
-    in the class does."""
-    (n, _), best, leaves, swaps = _labeling_search(g)
+def _generators(search):
+    """Permutations p, p[v] the image of v, that generate Aut(g), from
+    search, the result of _labeling_search(g): one per leaf with the best
+    certificate, and the swaps of consecutive members of each twin class,
+    which map a mask to a smaller one iff some swap in the class does."""
+    (n, _), best, leaves, swaps = search
     gens = [_carry(best, leaf) for leaf in leaves]
     last = {}  # the greatest member of each twin class so far
     for v, twin in sorted(swaps.items()):

@@ -346,7 +346,18 @@ def components(g):
 
 
 def is_connected(g):
-    return len(components(g)) <= 1
+    """Whether one BFS from node 0 reaches every node; True for n <= 1."""
+    n = g.num_nodes()
+    if n == 0:
+        return True
+    seen = [True] + [False] * (n - 1)
+    queue = [0]
+    for u in queue:
+        for w in g.neighbors(u):
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    return len(queue) == n
 
 
 def _bfs(n, adj, s):

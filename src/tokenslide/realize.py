@@ -16,6 +16,7 @@ from functools import reduce
 from itertools import combinations
 
 from .canon import iso_map
+from .config import node_budget
 from .enumeration import GRAPHS_MAX_N, enumerate_graphs
 from .errors import (ConditionViolated, CycleTooSmall, InputError, KMismatch,
                      NExceedsK, NotConnected, NotIndependent, NTooLarge)
@@ -24,7 +25,8 @@ from .graph import (Graph, _as_vset, add_isolated, complement, complete,
 from .io import graph_to_json
 from .props import is_connected
 from .reconf import build_TSk
-from .stable import independent_sets_of_size, is_independent, kmax_partition
+from .stable import (_count_stable_masks, independent_sets_of_size,
+                     is_independent, kmax_partition)
 
 @dataclass(frozen=True)
 class Realization:
@@ -247,9 +249,10 @@ def search_realizer(target, k, max_n):
     _require(max_n >= 1, f"max_n must be >= 1, got {max_n}")
     _require(k >= 1, f"k must be >= 1, got {k}")
     target_edges = target.num_edges()
+    cap = node_budget()
 
     def fits(g):  # an isomorphism invariant: one node per stable k-set
-        return len(independent_sets_of_size(g, k)) == target.n
+        return _count_stable_masks(g._adj, k, cap) == target.n
 
     for m in range(1, max_n + 1):
         # the layers below max_n are built in full anyway, as parents of

@@ -67,6 +67,30 @@ def _enumerate_stable_masks(adj, avail, k, out):
     return out
 
 
+def _count_stable_masks(adj, k, cap):
+    """len(_enumerate_stable_masks(adj, all vertices, k, [])) without the
+    list: the same branches, on an explicit stack, but the last token
+    counts the vertices left instead of listing a set for each. cap is
+    the node budget; ExplosionCap is raised when the enumeration would
+    raise it, once the count passes cap."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    count, stack = 0, [((1 << len(adj)) - 1, k)]
+    while stack:
+        avail, remaining = stack.pop()
+        if remaining == 1:
+            count += avail.bit_count()
+            if count > cap:
+                raise ExplosionCap(
+                    f"more than {cap} stable sets; raise the node budget")
+            continue
+        while avail.bit_count() >= remaining:
+            low = avail & -avail
+            avail ^= low
+            stack.append((avail & ~adj[low.bit_length() - 1], remaining - 1))
+    return count
+
+
 def independent_sets_of_size(g, k):
     """Masks of all independent k-sets of g; empty when k exceeds alpha."""
     return tuple(_enumerate_stable_masks(g._adj, (1 << g.n) - 1, k, []))

@@ -87,11 +87,12 @@ def to_networkx(g):
 
 
 def check_generators(g):
-    """Each of canon._generators(g) is an automorphism of g, and their
+    """Each generator canon._generators finds from the labeling search of
+    g is an automorphism of g, and their
     closure has as many elements as networkx finds automorphisms."""
-    from tokenslide.canon import _generators
+    from tokenslide.canon import _generators, _labeling_search
 
-    gens = [tuple(p) for p in _generators(g)]
+    gens = [tuple(p) for p in _generators(_labeling_search(g))]
     edges = edge_set(g)
     for p in gens:
         assert sorted(p) == list(range(g.n))

@@ -297,6 +297,26 @@ class TestRealize:
                       write_graph6(diamond()), "--k", "2", "--max-n", "4")
         assert js == {"found": False, "max_n": 4}
 
+    def test_search_budget_cap(self, capsys, monkeypatch):
+        # the edgeless graph on 4 vertices has 6 stable pairs, and the
+        # search counts them against the budget before it is rejected
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "5")
+        code, out, err = run(capsys, "realize", "--search",
+                             write_graph6(star(4)), "--k", "2",
+                             "--max-n", "7")
+        assert code == 3
+        assert out == ""
+        assert "resource cap:" in err
+
+    def test_search_budget_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "abc")
+        code, out, err = run(capsys, "realize", "--search",
+                             write_graph6(star(4)), "--k", "2",
+                             "--max-n", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     # stdout SHA-256 per argv. The search hits depend on the enumeration
     # order and were recorded when every extension of every smaller graph
     # was canonised. P_3 finds its base below the top layer; K_4 finds

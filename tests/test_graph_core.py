@@ -430,20 +430,22 @@ class TestGraphEnumeration:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_automorphisms_and_orbit_minima(self, n):
         # the generators against networkx's automorphisms; the orbit
-        # minima are found by trying all n! permutations
-        from tokenslide.enumeration import _orbit_minima
+        # minima the full layer keeps, from the labeling searches that
+        # canonised its graphs, against all n! permutations
+        from tokenslide.enumeration import _graph_layer
 
         perms = list(permutations(range(n)))
-        for g in enumerate_graphs(n):
+        graphs, minima = _graph_layer(n)
+        for p, g in enumerate(graphs):
             check_generators(g)
             edges = edge_set(g)
-            auts = [p for p in perms
-                    if {tuple(sorted((p[u], p[v]))) for u, v in edges}
+            auts = [q for q in perms
+                    if {tuple(sorted((q[u], q[v]))) for u, v in edges}
                     == edges]
             least = [m for m in range(1 << n)
-                     if all(sum(1 << p[v] for v in range(n) if m >> v & 1)
-                            >= m for p in auts)]
-            assert _orbit_minima(g) == least
+                     if all(sum(1 << q[v] for v in range(n) if m >> v & 1)
+                            >= m for q in auts)]
+            assert minima[p] == least
 
     def test_golden_graph6(self):
         # every representative and its place, n = 1..7
@@ -454,35 +456,50 @@ class TestGraphEnumeration:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_deletion_test_drops_only_repeats(self, n):
-        # the unfiltered candidate loop: a candidate the deletion test
-        # drops has the class of a candidate of an earlier parent, and
-        # the first candidate seen of each class is never dropped
+        # every candidate of the unfiltered loop, in order, against the
+        # ones _extensions yields: a candidate the deletion test drops
+        # has the class of a candidate of an earlier parent, and the
+        # first candidate seen of each class is never dropped
         from tokenslide.canon import canonical_form
-        from tokenslide.enumeration import _earlier, _extensions
+        from tokenslide.enumeration import _extensions, _graph_layer
 
+        kept = _extensions(n, None)
+        nxt = next(kept, None)
         before, current, seen = set(), set(), set()
-        parent, drops = 0, 0
-        for p, h in _extensions(n):
-            if p != parent:
-                before |= current
-                parent, current = p, set()
-            cert = canonical_form(h)
-            if _earlier(p, h):
-                drops += 1
-                assert cert in before
-                assert cert in seen
-            seen.add(cert)
-            current.add(cert)
+        drops = 0
+        graphs, minima = _graph_layer(n - 1)
+        for p, g in enumerate(graphs):
+            before |= current
+            current = set()
+            for nbrs in minima[p]:
+                h = make_graph(n, g.edges()
+                               + [(v, n - 1) for v in members(nbrs)])
+                cert = canonical_form(h)
+                if h == nxt:
+                    nxt = next(kept, None)
+                else:
+                    drops += 1
+                    assert cert in before
+                    assert cert in seen
+                seen.add(cert)
+                current.add(cert)
+        assert nxt is None  # _extensions yields candidates only, in order
         assert drops > 0 or n == 2
         assert len(seen) == self.KNOWN_ALL[n - 1]
 
-    @given(graphs(max_n=8))
+    @given(graphs(max_n=6), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_deletion_keys_are_invariants_of_subgraphs(self, g):
+    def test_deletion_keys_are_invariants_of_subgraphs(self, g, data):
+        # the keys that _deletion_keys derives from the parent g for the
+        # extension h of g by a new vertex joined to nbrs, one per vertex
+        # of g, against the invariants of the subgraphs themselves
         from tokenslide.enumeration import _deletion_keys, _invariant
 
-        assert list(_deletion_keys(g._adj)) == [
-            _invariant(delete_vertices(g, [v])._adj) for v in range(g.n)]
+        nbrs = data.draw(st.integers(0, (1 << g.n) - 1))
+        h = make_graph(g.n + 1,
+                       g.edges() + [(v, g.n) for v in members(nbrs)])
+        assert list(_deletion_keys(g._adj)(nbrs)) == [
+            _invariant(delete_vertices(h, [v])._adj) for v in range(g.n)]
 
     def test_cold_connected_7_search_count(self, monkeypatch):
         # every labeling search of a cold enumerate_connected_graphs(7),
@@ -494,11 +511,40 @@ class TestGraphEnumeration:
         labeling_search = canon._labeling_search
         monkeypatch.setattr(canon, "_labeling_search",
                             lambda g: searches.append(g) or labeling_search(g))
-        for cache in (enumeration._graph_layer, enumeration._orbit_minima,
-                      enumeration._last_parent):
+        for cache in (enumeration._graph_layer, enumeration._last_parent):
             cache.cache_clear()
         assert len(enumerate_connected_graphs(7)) == 853
         assert len(searches) <= 1600
+
+    @pytest.mark.parametrize("enumerate_7, most", [
+        (enumerate_connected_graphs, 1288), (enumerate_graphs, 1491)],
+        ids=["connected", "all"])
+    def test_cold_search_once_per_candidate(self, monkeypatch, enumerate_7,
+                                            most):
+        # the search that canonises a parent also gives its automorphism
+        # generators, so a cold enumeration searches each canonised
+        # candidate once and no graph twice; searching each parent again
+        # for its generators made 1,495 and 1,698 searches
+        from tokenslide import canon, enumeration
+
+        searches = []
+        labeling_search = canon._labeling_search
+        monkeypatch.setattr(canon, "_labeling_search",
+                            lambda g: searches.append(g) or labeling_search(g))
+        for cache in (enumeration._graph_layer, enumeration._last_parent):
+            cache.cache_clear()
+        enumerate_7(7)
+        assert len(searches) == len(set(searches))
+        assert len(searches) <= most
+
+    def test_only_parent_layers_keep_orbit_minima(self):
+        # a filtered layer and the top layer are never parents, so their
+        # graphs' searches are not kept
+        from tokenslide.enumeration import _graph_layer, _layer
+
+        assert _layer(6, is_connected)[1] is None
+        assert _graph_layer(7)[1] is None
+        assert len(_graph_layer(6)[1]) == 156
 
     def test_four_vertex_connected(self):
         # the six connected graphs on four vertices, pairwise non-isomorphic

@@ -166,6 +166,15 @@ class TestComponentsAndDiameter:
     def test_complete_diameter(self):
         assert diameter(complete(6)) == 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_is_connected_on_slide_graphs(self, k):
+        # the same BFS on LabeledGraph nodes, empty slide graphs included
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                ts = build_TSk(g, k)
+                assert is_connected(ts) == (len(components(ts)) <= 1)
+                assert is_connected(g) == (len(components(g)) <= 1)
+
     def test_ts2_of_claw_disconnected(self):
         # two leaf tokens can never pass the shared center
         ts = build_TSk(star(3), 2)

@@ -221,8 +221,10 @@ class TestSearch:
         # of the 5,096 extensions of the graphs on 6 vertices, 83 have the
         # 5 stable pairs of K_{1,4}, and only the 24 of those that the
         # deletion test keeps are canonised; the smaller layers are built
-        # in full, from cold: 439 searches in all. Canonising every
-        # extension took 5,966, and every one that fits 954
+        # in full, from cold, and each parent's automorphism generators
+        # come from the search that canonised it: 232 searches in all.
+        # Canonising every extension took 5,966, every one that fits 954,
+        # and searching each parent again for its generators 439
         from tokenslide import canon, enumeration
 
         searches = []
@@ -230,16 +232,15 @@ class TestSearch:
         monkeypatch.setattr(canon, "_labeling_search",
                             lambda g: searches.append(g) or labeling_search(g))
         enumeration._graph_layer.cache_clear()
-        enumeration._orbit_minima.cache_clear()
         enumeration._last_parent.cache_clear()
         assert search_realizer(star(4), 2, 7) == NoneUpTo(7)
-        assert len(searches) <= 1100
+        assert len(searches) <= 232
 
     def test_second_search_reuses_orbit_minima(self, monkeypatch):
-        # the filtered top layer is not cached, but the orbit minima of
-        # its 156 parents are: a second search canonises only the 24
-        # extensions that fit and pass the deletion test, where
-        # recomputing the minima would make it 180
+        # the filtered top layer is not cached, but its 156 parents are,
+        # with their orbit minima: a second search canonises only the 24
+        # extensions that fit and pass the deletion test, where searching
+        # the parents again for their minima would make it 180
         from tokenslide import canon
 
         search_realizer(star(4), 2, 7)

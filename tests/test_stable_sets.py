@@ -22,6 +22,7 @@ from tokenslide import (
     cycle,
     disjoint_union,
     edge_intersection_graph,
+    enumerate_graphs,
     independent_sets_of_size,
     is_independent,
     is_isomorphic,
@@ -31,7 +32,9 @@ from tokenslide import (
     path,
     star,
 )
+from tokenslide.config import node_budget
 from tokenslide.graph import members
+from tokenslide.stable import _count_stable_masks
 
 from conftest import (
     brute_alpha,
@@ -132,6 +135,41 @@ class TestIndependentSetsOfSize:
         monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(count - 1))
         with pytest.raises(ExplosionCap):
             independent_sets_of_size(g, a)
+
+
+class TestCountStableMasks:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_length_of_enumeration(self, n):
+        # every graph on n vertices, every k, past alpha too
+        for g in enumerate_graphs(n):
+            for k in range(1, n + 2):
+                assert (_count_stable_masks(g._adj, k, node_budget())
+                        == len(independent_sets_of_size(g, k)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cap_as_the_enumeration(self, monkeypatch, n):
+        # with the budget at the count the enumeration lists its sets,
+        # one below it raises; the counter does the same with that cap
+        for g in enumerate_graphs(n):
+            for k in range(1, n + 1):
+                monkeypatch.delenv("TOKENSLIDE_NODE_BUDGET", raising=False)
+                count = len(independent_sets_of_size(g, k))
+                if count == 0:
+                    continue
+                monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(count))
+                assert len(independent_sets_of_size(g, k)) == count
+                assert _count_stable_masks(g._adj, k, count) == count
+                if count > 1:
+                    monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET",
+                                       str(count - 1))
+                    with pytest.raises(ExplosionCap):
+                        independent_sets_of_size(g, k)
+                    with pytest.raises(ExplosionCap):
+                        _count_stable_masks(g._adj, k, count - 1)
+
+    def test_k_below_one(self):
+        with pytest.raises(ValueError):
+            _count_stable_masks(cycle(4)._adj, 0, node_budget())
 
 
 class TestAllIndependentSets:
