@@ -25,7 +25,7 @@ from .geometry import (GeneralPosition, SegmentGraph, check_general_position,
                        convex_hull_size, delaunay, edge_intersection_graph,
                        flip_graph, in_circle, lawson_distance, orient,
                        segments_intersect, triangulations)
-from .graph import (Graph, VertexSet, add_isolated, complement, complete,
+from .graph import (Graph, add_isolated, complement, complete,
                     complete_bipartite, complete_minus_edge, cycle,
                     delete_vertices, disjoint_union, induced_subgraph, join,
                     make_graph, path, relabel, star)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import (InputError, MalformedJoinSpec, NoStableSetOfSizeK,
                      UniverseOverlap)
-from .graph import Graph, VertexSet, _as_vset, disjoint_union, join
+from .graph import Graph, _mask_of, disjoint_union, join, members
 from .io import _label_formatter, graph_from_json, graph_to_json
 from .reconf import LabeledGraph, build_TSk, build_TSk_induced
 from .stable import _max_stable_in_masks, independent_sets_of_size
@@ -26,17 +26,21 @@ from .stable import _max_stable_in_masks, independent_sets_of_size
 
 @dataclass(frozen=True)
 class JoinSpec:
-    """Two graphs, the vertex sets to join along, and the token count."""
+    """Two graphs, the vertex sets to join along, and the token count.
+
+    h1 and h2 are given as iterables of vertex indices of g1 and g2 and
+    held as masks over them.
+    """
 
     g1: Graph
     g2: Graph
-    h1: VertexSet
-    h2: VertexSet
+    h1: int
+    h2: int
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "h1", _as_vset(self.h1, self.g1.n))
-        object.__setattr__(self, "h2", _as_vset(self.h2, self.g2.n))
+        object.__setattr__(self, "h1", _mask_of(self.h1, self.g1.n))
+        object.__setattr__(self, "h2", _mask_of(self.h2, self.g2.n))
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         for name, g in (("G1", self.g1), ("G2", self.g2)):
@@ -45,14 +49,14 @@ class JoinSpec:
                     f"{name} has no stable set of size {self.k}")
 
     def joined(self):
-        return join(self.g1, self.h1, self.g2, self.h2)
+        return join(self.g1, members(self.h1), self.g2, members(self.h2))
 
     def to_json(self):
         return {
             "g1": graph_to_json(self.g1),
             "g2": graph_to_json(self.g2),
-            "h1": sorted(self.h1.members()),
-            "h2": sorted(self.h2.members()),
+            "h1": list(members(self.h1)),
+            "h2": list(members(self.h2)),
             "k": self.k,
         }
 
@@ -86,8 +90,8 @@ def product(a, b):
             for mb in b_masks:
                 if ma & mb:
                     raise UniverseOverlap(
-                        f"labels {VertexSet(ma, base.n)} and "
-                        f"{VertexSet(mb, base.n)} share vertices")
+                        f"labels {list(members(ma))} and "
+                        f"{list(members(mb))} share vertices")
     else:
         base = disjoint_union(a.base, b.base)
         b_masks = [mb << a.base.n for mb in b_masks]
@@ -111,7 +115,7 @@ def product(a, b):
 def _route(g, a_region, s, b_region, t):
     """TS_s(g[a_region]) x TS_t(g[b_region]) in g's indexing; TS_0 = {empty
     set} is the identity, so a side with no tokens gives the other alone."""
-    factors = [build_TSk_induced(g, u, VertexSet(region, g.n))
+    factors = [build_TSk_induced(g, u, members(region))
                for region, u in ((a_region, s), (b_region, t)) if u]
     return product(*factors) if len(factors) == 2 else factors[0]
 
@@ -170,8 +174,8 @@ def decompose_join(spec):
     n1 = spec.g1.n
     g1_mask = (1 << n1) - 1
     g2_mask = ((1 << g.n) - 1) ^ g1_mask
-    h1_mask = spec.h1.mask
-    h2_mask = spec.h2.mask << n1
+    h1_mask = spec.h1
+    h2_mask = spec.h2 << n1
     full = build_TSk(g, k)
     full_masks = full.label_masks()
 
@@ -236,4 +240,4 @@ def check_disconnection(spec, i):
     g = spec.g1 if i == 1 else spec.g2
     h = spec.h1 if i == 1 else spec.h2
     fam = independent_sets_of_size(g, spec.k)
-    return all((m & h.mask).bit_count() != 1 for m in fam)
+    return all((m & h).bit_count() != 1 for m in fam)

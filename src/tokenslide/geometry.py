@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import (DegenerateSegment, GeneralPositionViolated, InputError,
                      TooFewPoints, TooManyPoints)
-from .graph import Graph, VertexSet, make_graph, members
+from .graph import Graph, make_graph, members
 from .io import format_label
 from .reconf import LabeledGraph, _swap_edges
 
@@ -154,7 +154,7 @@ def edge_intersection_graph(points):
     edges = [(pos[s], pos[t]) for s in verts for t in sorted(crossing[s])
              if pos[s] < pos[t]]
     segments = tuple(all_segs[s] for s in verts)
-    names = [format_label(VertexSet.of(seg, n)) for seg in segments]
+    names = [format_label(1 << a | 1 << b, n) for a, b in segments]
     graph = make_graph(len(verts), edges, names=names)
     never = tuple(seg for i, seg in enumerate(all_segs) if i not in crossing)
     return SegmentGraph(points=tuple(pts), segments=segments,

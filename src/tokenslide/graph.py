@@ -44,83 +44,6 @@ def members(mask):
     return out + tuple(rest)
 
 
-class VertexSet:
-    """Immutable set of vertices of a host graph with n vertices.
-
-    Stored as a bit mask; bit v set means vertex v is a member. The n is
-    carried along so subset checks against the host are possible.
-    """
-
-    __slots__ = ("mask", "n")
-
-    def __init__(self, mask, n):
-        if n < 0 or n > WIDTH_MAX:
-            raise NExceedsWidth(f"host size {n} outside 0..{WIDTH_MAX}")
-        if mask < 0 or mask >> n:
-            raise SubsetViolation(
-                f"set bits must lie in 0..{n - 1}, got mask {bin(mask)}")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
-
-    @classmethod
-    def of(cls, vertices, n):
-        """Build from an iterable of vertex indices."""
-        mask = 0
-        for v in vertices:
-            v = int(v)
-            if v < 0 or v >= n:
-                raise IndexOutOfRange(f"vertex {v} not in 0..{n - 1}")
-            mask |= 1 << v
-        return cls(mask, n)
-
-    def members(self):
-        return members(self.mask)
-
-    def __iter__(self):
-        return iter(self.members())
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __contains__(self, v):
-        return 0 <= v < self.n and (self.mask >> v) & 1 == 1
-
-    def __eq__(self, other):
-        return (isinstance(other, VertexSet)
-                and self.mask == other.mask and self.n == other.n)
-
-    def __hash__(self):
-        return hash((self.mask, self.n))
-
-    def _check_host(self, other):
-        if not isinstance(other, VertexSet):
-            raise TypeError("expected VertexSet")
-        if other.n != self.n:
-            raise SubsetViolation("vertex sets have different hosts")
-
-    def __or__(self, other):
-        self._check_host(other)
-        return VertexSet(self.mask | other.mask, self.n)
-
-    def __and__(self, other):
-        self._check_host(other)
-        return VertexSet(self.mask & other.mask, self.n)
-
-    def __sub__(self, other):
-        self._check_host(other)
-        return VertexSet(self.mask & ~other.mask, self.n)
-
-    def __le__(self, other):
-        self._check_host(other)
-        return self.mask & ~other.mask == 0
-
-    def __repr__(self):
-        return "VertexSet({" + ", ".join(map(str, self.members())) + "}, n=%d)" % self.n
-
-
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -217,43 +140,43 @@ def path(n):
     """P_n: vertices 0..n-1 consecutive."""
     if n < 1:
         raise IndexOutOfRange("path needs n >= 1")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return make_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n):
     """C_n: vertices 0..n-1 in cyclic order."""
     if n < 3:
         raise CycleTooSmall(f"cycle needs n >= 3, got {n}")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n):
     """K_n."""
     if n < 1:
         raise IndexOutOfRange("complete needs n >= 1")
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(m, n):
     """K_{m,n}: parts 0..m-1 and m..m+n-1."""
     if m < 1 or n < 1:
         raise IndexOutOfRange("complete_bipartite needs m, n >= 1")
-    return make_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return make_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def star(n):
     """K_{1,n}: center 0, leaves 1..n."""
     if n < 1:
         raise IndexOutOfRange("star needs n >= 1")
-    return make_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return make_graph(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def complete_minus_edge(n):
     """K_n minus the edge (0,1); n=4 gives the diamond."""
     if n < 2:
         raise IndexOutOfRange("complete_minus_edge needs n >= 2")
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                          if (i, j) != (0, 1)])
+    return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                          if (i, j) != (0, 1)))
 
 
 def add_isolated(g, t):
@@ -281,57 +204,54 @@ def disjoint_union(g1, g2):
     return Graph(n, adj, names)
 
 
-def _as_vset(x, n):
-    if isinstance(x, VertexSet):
-        if x.n != n:
-            raise SubsetViolation(
-                f"vertex set over {x.n} vertices, host has {n}")
-        return x
-    try:
-        return VertexSet.of(x, n)
-    except IndexOutOfRange as exc:
-        raise SubsetViolation(str(exc)) from exc
+def _mask_of(vertices, n):
+    """Mask of an iterable of vertex indices of a host with n vertices."""
+    mask = 0
+    for v in vertices:
+        v = int(v)
+        if v < 0 or v >= n:
+            raise SubsetViolation(f"vertex {v} not in 0..{n - 1}")
+        mask |= 1 << v
+    return mask
 
 
 def join(g1, h1, g2, h2):
     """Disjoint union of g1, g2 plus all edges between h1 and h2.
 
-    h1 and h2 are vertex sets of g1 and g2 respectively (VertexSet or
-    iterable of indices); h2's members refer to g2's own indexing.
+    h1 and h2 are iterables of vertex indices of g1 and g2 respectively;
+    h2's members refer to g2's own indexing.
     """
-    h1 = _as_vset(h1, g1.n)
-    h2 = _as_vset(h2, g2.n)
+    h1 = _mask_of(h1, g1.n)
+    h2 = _mask_of(h2, g2.n)
     g = disjoint_union(g1, g2)
     adj = list(g._adj)
-    h2_shifted = h2.mask << g1.n
-    for u in h1.members():
+    h2_shifted = h2 << g1.n
+    for u in members(h1):
         adj[u] |= h2_shifted
-    for v in h2.members():
-        adj[g1.n + v] |= h1.mask
+    for v in members(h2):
+        adj[g1.n + v] |= h1
     return Graph(g.n, adj, g.names)
 
 
 def induced_subgraph(g, vertices):
     """Induced subgraph on the given vertices, relabeled 0..m-1 ascending."""
-    vs = _as_vset(vertices, g.n)
-    keep = vs.members()
+    mask = _mask_of(vertices, g.n)
+    keep = members(mask)
     pos = {v: i for i, v in enumerate(keep)}
-    m = len(keep)
-    adj = [0] * m
+    adj = [0] * len(keep)
     for v in keep:
-        row = g.adjacency_mask(v) & vs.mask
-        for w in members(row):
+        for w in members(g.adjacency_mask(v) & mask):
             adj[pos[v]] |= 1 << pos[w]
     names = None
     if g.names is not None:
         names = tuple(g.names[v] for v in keep)
-    return Graph(m, adj, names)
+    return Graph(len(keep), adj, names)
 
 
 def delete_vertices(g, vertices):
     """g minus the given vertices (remaining ones relabeled ascending)."""
-    vs = _as_vset(vertices, g.n)
-    return induced_subgraph(g, VertexSet(~vs.mask & ((1 << g.n) - 1), g.n))
+    return induced_subgraph(
+        g, members(~_mask_of(vertices, g.n) & ((1 << g.n) - 1)))
 
 
 def relabel(g, perm):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import MalformedGraph6, NExceedsWidth
-from .graph import WIDTH_MAX, Graph, VertexSet, make_graph, members
+from .graph import WIDTH_MAX, Graph, make_graph, members
 
 # lines (DOT) or list rows (JSON) formatted per write call
 CHUNK_ROWS = 4096
@@ -118,16 +118,15 @@ def graph_from_json(obj):
     return make_graph(n, edges, names)
 
 
-def format_label(vs):
-    """Display form of a vertex set, 1-indexed and concatenated.
+def format_label(mask, n):
+    """Display form of a vertex set, given as a mask over a host with n
+    vertices: 1-indexed and concatenated.
 
     {0, 2, 4} over a host with at most 9 vertices prints as "135"; larger
     hosts separate with dashes to stay unambiguous.
     """
-    members = [v + 1 for v in vs.members()]
-    if vs.n <= 9:
-        return "".join(str(v) for v in members)
-    return "-".join(str(v) for v in members)
+    sep = "" if n <= 9 else "-"
+    return sep.join(str(v + 1) for v in members(mask))
 
 
 def _label_formatter(n):
@@ -143,7 +142,7 @@ def _label_formatter(n):
     def piece(part):
         text = texts.get(part)
         if text is None:
-            text = texts[part] = format_label(VertexSet(part, n))
+            text = texts[part] = format_label(part, n)
         return text
 
     def fmt(mask):

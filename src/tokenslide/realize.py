@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 from .canon import iso_map
 from .config import node_budget
 from .enumeration import GRAPHS_MAX_N, enumerate_graphs
 from .errors import (ConditionViolated, CycleTooSmall, InputError, KMismatch,
                      NExceedsK, NotConnected, NotIndependent, NTooLarge)
-from .graph import (Graph, _as_vset, add_isolated, complement, complete,
+from .graph import (Graph, _mask_of, add_isolated, complement, complete,
                     cycle, disjoint_union, make_graph, members, path, star)
 from .io import graph_to_json
 from .props import is_connected
@@ -137,8 +137,8 @@ def realize_star(n, k):
     _require(n >= 1, f"n must be >= 1, got {n}")
     if n > k:
         raise NExceedsK(f"star needs n <= k, got n={n}, k={k}")
-    edges = [(k + i, k + j) for i in range(n) for j in range(i + 1, n)]
-    edges += [(i, k + i) for i in range(n)]
+    edges = chain(((k + i, k + j) for i in range(n) for j in range(i + 1, n)),
+                  ((i, k + i) for i in range(n)))
     # the center is the set of all a-vertices; leaf i swaps a_i for b_i
     return _realized(star(n), k, make_graph(n + k, edges),
                      lambda m: (m >> k).bit_length())
@@ -152,13 +152,12 @@ def _kmax_with_checks(f):
 
 def _split_conditions(f, part, k):
     """Yield a message for each violated realizability condition."""
-    s_mask = part.S.mask
-    for v in part.K.members():
-        d = (f.adjacency_mask(v) & s_mask).bit_count()
+    for v in members(part.K):
+        d = (f.adjacency_mask(v) & part.S).bit_count()
         if d > k - 1:
             yield (f"clique vertex {v} has {d} stable-side neighbors, "
                    f"limit is {k - 1}")
-    for w in part.S.members():
+    for w in members(part.S):
         d = f.degree(w)
         if d != 1:
             yield f"stable vertex {w} has degree {d}, needs exactly 1"
@@ -179,10 +178,10 @@ def realize_split(f, k):
     violation = next(_split_conditions(f, part, k), None)
     if violation is not None:
         raise ConditionViolated(violation)
-    kv = part.K.members()
+    kv = members(part.K)
     # x^i_j = (i, j, w): the j-th stable-side neighbor w of clique vertex i
     xs = [(i, j, w) for i, v in enumerate(kv)
-          for j, w in enumerate(members(f.adjacency_mask(v) & part.S.mask))]
+          for j, w in enumerate(members(f.adjacency_mask(v) & part.S))]
     # base layout: a_1..a_{k-1} = 0..k-2, then the b's, then the x's
     b0 = k - 1
     x0 = b0 + len(kv)
@@ -203,9 +202,9 @@ def extend_with_vG(g, independent):
 
     The slide graph at k = |I|+1 gains exactly the node I + v_G.
     """
-    vs = _as_vset(independent, g.n)
+    vs = members(_mask_of(independent, g.n))
     if not is_independent(g, vs):
-        raise NotIndependent(f"{sorted(vs.members())} is not independent")
+        raise NotIndependent(f"{list(vs)} is not independent")
     extra = [(v, g.n) for v in range(g.n) if v not in vs]
     return make_graph(g.n + 1, list(g.edges()) + extra)
 

@@ -17,7 +17,7 @@ from math import comb
 
 from .config import node_budget
 from .errors import ExplosionCap, IndexOutOfRange
-from .graph import VertexSet, _as_vset, make_graph, members
+from .graph import _mask_of, make_graph, members
 from .stable import (_enumerate_stable_masks, all_independent_sets,
                      cliques_of_size, independent_sets_of_size)
 
@@ -30,19 +30,19 @@ class LabeledGraph:
     Every label is held as a bit mask over the base's vertices; a
     product node (A, B) is the union A | B. Adjacency rows are sorted,
     symmetric and loopless; labels are distinct. The public constructor
-    takes VertexSet labels and checks all of this (check_labeled_graph);
+    takes int mask labels and checks all of this (check_labeled_graph);
     the package's own builders use _unchecked.
     """
 
-    __slots__ = ("kind", "base", "_labels", "_masks", "_adj", "k", "_index")
+    __slots__ = ("kind", "base", "_masks", "_adj", "k")
 
     def __init__(self, kind, base, labels, adj, k=None):
         labels = tuple(labels)
-        n = getattr(base, "n", None)
-        if n is None or not all(isinstance(lab, VertexSet) and lab.n == n
-                                for lab in labels):
-            raise ValueError("labels must be VertexSets over the base")
-        _fill(self, kind, base, tuple(lab.mask for lab in labels),
+        # type() and not isinstance(): a bool is not a mask
+        if getattr(base, "n", None) is None or any(
+                type(lab) is not int for lab in labels):
+            raise ValueError("labels must be int masks over the base")
+        _fill(self, kind, base, labels,
               tuple(tuple(sorted(row)) for row in adj), k)
         check_labeled_graph(self)
 
@@ -56,15 +56,6 @@ class LabeledGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGraph is immutable")
-
-    @property
-    def labels(self):
-        """Node labels; VertexSet objects are made on first access."""
-        if self._labels is None:
-            n = self.base.n
-            object.__setattr__(self, "_labels",
-                               tuple(VertexSet(m, n) for m in self._masks))
-        return self._labels
 
     def label_masks(self):
         """Node labels as bit masks over the base."""
@@ -85,16 +76,6 @@ class LabeledGraph:
 
     def degree(self, i):
         return len(self._adj[i])
-
-    def label(self, i):
-        return self.labels[i]
-
-    def index_of(self, label):
-        """Node index of a label; raises KeyError if absent."""
-        if self._index is None:
-            object.__setattr__(self, "_index", {
-                lab: i for i, lab in enumerate(self.labels)})
-        return self._index[label]
 
     def _label_sizes(self):
         if self.kind != "TS":
@@ -122,9 +103,8 @@ class LabeledGraph:
 
 
 def _fill(lg, kind, base, masks, adj, k):
-    for name, value in (("kind", kind), ("base", base), ("_labels", None),
-                        ("_masks", masks), ("_adj", adj), ("k", k),
-                        ("_index", None)):
+    for name, value in (("kind", kind), ("base", base), ("_masks", masks),
+                        ("_adj", adj), ("k", k)):
         object.__setattr__(lg, name, value)
 
 
@@ -251,7 +231,7 @@ def build_Fk(g, k):
 def build_TSk_induced(g, k, vertices):
     """TS_k of the subgraph of g induced on `vertices`, labels kept in g's
     indexing: the stable k-sets inside the region, slides among them."""
-    region = _as_vset(vertices, g.n).mask
+    region = _mask_of(vertices, g.n)
     masks = tuple(_enumerate_stable_masks(g._adj, region, k, []))
     return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
                                    masks=masks)

@@ -16,24 +16,22 @@ from itertools import combinations
 from . import config
 from .config import node_budget
 from .errors import ExplosionCap, NotSplit, TooLargeForSearch
-from .graph import VertexSet, _as_vset, complement, members
+from .graph import _mask_of, complement, members
 
 
 @dataclass(frozen=True)
 class KSPartition:
-    """A split partition: K a clique, S an independent set, K ∪ S = V."""
+    """A split partition: K a clique, S an independent set, K ∪ S = V,
+    both as masks over the graph's vertices."""
 
-    K: VertexSet
-    S: VertexSet
+    K: int
+    S: int
 
 
 def is_independent(g, s):
-    """True iff the set spans no edge of g."""
-    s = _as_vset(s, g.n)
-    for v in s.members():
-        if g.adjacency_mask(v) & s.mask:
-            return False
-    return True
+    """True iff the vertices in s span no edge of g."""
+    s = _mask_of(s, g.n)
+    return not any(g.adjacency_mask(v) & s for v in members(s))
 
 
 def _enumerate_stable_masks(adj, avail, k, out):
@@ -191,11 +189,11 @@ def kmax_partition(g):
     full = (1 << g.n) - 1
     if w > 0:
         for K in cliques_of_size(g, w):
-            S = VertexSet(full & ~K, g.n)
-            if is_independent(g, S):
-                return KSPartition(VertexSet(K, g.n), S)
+            S = full & ~K
+            if is_independent(g, members(S)):
+                return KSPartition(K, S)
     elif g.n == 0:
-        return KSPartition(VertexSet(0, 0), VertexSet(0, 0))
+        return KSPartition(0, 0)
     cert = _split_certificate(g)
     if cert is not None:
         raise NotSplit(

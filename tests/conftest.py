@@ -69,14 +69,19 @@ def brute_slide_edges(g, sets):
     return out
 
 
+def label_set(lg, mask):
+    """A label mask of lg as the frozenset of base vertices it holds."""
+    return frozenset(v for v in range(lg.base.n) if mask >> v & 1)
+
+
 def labelled_edges(lg):
     """Edge set of a LabeledGraph as pairs of frozenset labels."""
-    labs = [frozenset(lg.label(i).members()) for i in range(lg.num_nodes())]
+    labs = [label_set(lg, m) for m in lg.label_masks()]
     return {frozenset((labs[i], labs[j])) for i, j in lg.edges()}
 
 
 def labelled_nodes(lg):
-    return {frozenset(lg.label(i).members()) for i in range(lg.num_nodes())}
+    return {label_set(lg, m) for m in lg.label_masks()}
 
 
 def to_networkx(g):

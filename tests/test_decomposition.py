@@ -9,7 +9,6 @@ from tokenslide import (
     NoStableSetOfSizeK,
     SubsetViolation,
     UniverseOverlap,
-    VertexSet,
     build_TSk,
     build_TSk_induced,
     check_disconnection,
@@ -23,6 +22,7 @@ from tokenslide import (
     product,
     star,
 )
+from tokenslide.graph import members
 
 from conftest import brute_slide_edges, brute_stable_sets, random_graph
 
@@ -102,7 +102,7 @@ class TestProduct:
         b = build_TSk(cycle(4), 2)
         p = product(a, b)
         assert p.base.n == 6
-        assert all(lab.n == 6 for lab in p.labels)
+        assert all(m >> 6 == 0 for m in p.label_masks())
         assert [(m & 0b11, m >> 2) for m in p.label_masks()] == [
             (ma, mb) for ma in a.label_masks() for mb in b.label_masks()]
 
@@ -123,8 +123,8 @@ class TestProduct:
 
     def test_shared_base_disjoint_ranges(self):
         host = disjoint_union(path(2), path(2))
-        a = build_TSk_induced(host, 1, VertexSet.of([0, 1], 4))
-        b = build_TSk_induced(host, 1, VertexSet.of([2, 3], 4))
+        a = build_TSk_induced(host, 1, [0, 1])
+        b = build_TSk_induced(host, 1, [2, 3])
         p = product(a, b)
         assert p.base is host
         assert p.num_nodes() == 4
@@ -148,8 +148,8 @@ class TestDecomposeInvariants:
             g1_mask = (1 << n1) - 1
             for t, part in enumerate(d.parts):
                 s = d.part_s[t]
-                for lab in part.labels:
-                    assert (lab.mask & g1_mask).bit_count() == s
+                for m in part.label_masks():
+                    assert (m & g1_mask).bit_count() == s
                 assert set(d.provenance[t]) <= {"left", "right", "both"}
                 assert (len(d.product_edges[t]) + len(d.extra_within[t])
                         == part.num_edges())
@@ -166,7 +166,7 @@ class TestDecomposeInvariants:
             d = decompose_join(spec)
             k, n1 = spec.k, spec.g1.n
             g = spec.joined()
-            h1, h2 = spec.h1.mask, spec.h2.mask << n1
+            h1, h2 = spec.h1, spec.h2 << n1
             stable = brute_stable_sets(g, k)
             slides = brute_slide_edges(g, stable)
             for t, part in enumerate(d.parts):
@@ -174,13 +174,13 @@ class TestDecomposeInvariants:
                 want = sorted((x for x in stable
                                if sum(1 for v in x if v < n1) == s),
                               key=sorted)
-                labels = [frozenset(lab.members()) for lab in part.labels]
+                labels = [frozenset(members(m)) for m in part.label_masks()]
                 assert labels == want
                 assert {frozenset((labels[i], labels[j]))
                         for i, j in part.edges()} == {
                     e for e in slides if e <= set(want)}
-                for lab, prov in zip(part.labels, d.provenance[t]):
-                    meets1, meets2 = bool(lab.mask & h1), bool(lab.mask & h2)
+                for m, prov in zip(part.label_masks(), d.provenance[t]):
+                    meets1, meets2 = bool(m & h1), bool(m & h2)
                     if s == k:
                         assert prov == "left"
                     elif s == 0:
@@ -200,11 +200,11 @@ class TestDecomposeInvariants:
             d = decompose_join(spec)
             left = build_TSk(spec.g1, spec.k)
             n1 = spec.g1.n
-            assert sorted(l.mask for l in d.parts[0].labels) == \
-                sorted(l.mask for l in left.labels)
+            assert sorted(d.parts[0].label_masks()) == \
+                sorted(left.label_masks())
             right = build_TSk(spec.g2, spec.k)
-            assert sorted(l.mask >> n1 for l in d.parts[1].labels) == \
-                sorted(l.mask for l in right.labels)
+            assert sorted(m >> n1 for m in d.parts[1].label_masks()) == \
+                sorted(right.label_masks())
 
     def test_disconnection_criterion_matches_cross_edges(self, rng):
         # both directions: the stable-set condition holds exactly when

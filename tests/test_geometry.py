@@ -266,7 +266,7 @@ class TestFlipGraph:
         sg = edge_intersection_graph(PTS)
         fg = flip_graph(PTS)
         ts = build_TSk(sg.graph, alpha(sg.graph))
-        assert [l.mask for l in fg.labels] == [l.mask for l in ts.labels]
+        assert list(fg.label_masks()) == list(ts.label_masks())
         assert sorted(fg.edges()) == sorted(ts.edges())
 
     def test_matches_slide_graph_on_random_sets(self, rng):
@@ -279,8 +279,7 @@ class TestFlipGraph:
                 assert fg.num_edges() == 0
                 continue
             ts = build_TSk(sg.graph, alpha(sg.graph))
-            assert [l.mask for l in fg.labels] == \
-                [l.mask for l in ts.labels]
+            assert list(fg.label_masks()) == list(ts.label_masks())
             assert sorted(fg.edges()) == sorted(ts.edges())
 
     def test_flips_change_one_diagonal(self, rng):

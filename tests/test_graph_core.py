@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from tokenslide import (
     CycleTooSmall,
     IndexOutOfRange,
+    JoinSpec,
     LoopEdge,
     MalformedGraph6,
     NExceedsWidth,
     NTooLarge,
     SubsetViolation,
-    VertexSet,
     add_isolated,
+    build_TSk_induced,
     complement,
     complete,
     complete_bipartite,
@@ -28,16 +30,19 @@ from tokenslide import (
     enumerate_graphs,
     enumerate_trees,
     export_dot,
+    extend_with_vG,
     graph_from_json,
     graph_to_json,
     independent_sets_of_size,
     induced_subgraph,
     is_connected,
+    is_independent,
     is_isomorphic,
     join,
     make_graph,
     parse_graph6,
     path,
+    realize_star,
     relabel,
     star,
     write_graph6,
@@ -88,6 +93,30 @@ class TestMakeGraph:
         with pytest.raises(NExceedsWidth):
             make_graph(129, [])
         make_graph(128, [])  # at the cap is fine
+
+
+class TestOversizedGenerators:
+    """A named generator past the width cap fails before listing edges."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete(1000),
+        lambda: complete_minus_edge(1000),
+        lambda: complete_bipartite(500, 500),
+        lambda: path(10**6),
+        lambda: cycle(10**6),
+        lambda: star(10**6),
+        lambda: realize_star(1000, 1000),
+    ], ids=["complete", "complete_minus_edge", "complete_bipartite", "path",
+            "cycle", "star", "realize_star"])
+    def test_rejected_without_an_edge_list(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NExceedsWidth):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestComplement:
@@ -174,23 +203,27 @@ class TestJoin:
                 assert g.has_edge(a, g1.n + b)
 
 
-class TestVertexSet:
-    def test_of_and_members(self):
-        s = VertexSet.of([0, 2], 4)
-        assert s.members() == (0, 2)
-        assert 2 in s and 1 not in s
-        assert len(s) == 2
+# every public entry point that takes vertex indices from outside input
+VERTEX_INPUTS = {
+    "join": lambda g, vs: join(g, vs, g, []),
+    "join-h2": lambda g, vs: join(g, [], g, vs),
+    "induced_subgraph": induced_subgraph,
+    "delete_vertices": delete_vertices,
+    "is_independent": is_independent,
+    "build_TSk_induced": lambda g, vs: build_TSk_induced(g, 1, vs),
+    "extend_with_vG": extend_with_vG,
+    "JoinSpec": lambda g, vs: JoinSpec(g, g, vs, [0], 1),
+    "JoinSpec-h2": lambda g, vs: JoinSpec(g, g, [0], vs, 1),
+}
 
-    def test_set_ops(self):
-        a = VertexSet.of([0, 1], 4)
-        b = VertexSet.of([1, 2], 4)
-        assert (a | b).members() == (0, 1, 2)
-        assert (a & b).members() == (1,)
-        assert (a - b).members() == (0,)
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            VertexSet.of([4], 4)
+class TestVertexInputs:
+    @pytest.mark.parametrize("v", [4, -1])
+    @pytest.mark.parametrize("entry", sorted(VERTEX_INPUTS))
+    def test_out_of_range(self, entry, v):
+        message = rf"^vertex {v} not in 0\.\.3$"
+        with pytest.raises(SubsetViolation, match=message):
+            VERTEX_INPUTS[entry](path(4), [0, v])
 
 
 def reference_members(mask):

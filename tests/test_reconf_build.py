@@ -10,7 +10,6 @@ from tokenslide import (
     ExplosionCap,
     IndexOutOfRange,
     LabeledGraph,
-    VertexSet,
     add_isolated,
     alpha,
     build_Fk,
@@ -76,15 +75,14 @@ class TestBuildTSk:
     def test_ts1_is_host(self, g):
         ts = build_TSk(g, 1)
         assert ts.num_nodes() == g.n
-        relab = {ts.label(i).members()[0]: i for i in range(ts.num_nodes())}
+        relab = {members(m)[0]: i for i, m in enumerate(ts.label_masks())}
         ours = {(min(relab[u], relab[v]), max(relab[u], relab[v]))
                 for u, v in edge_set(g)}
         assert ours == set(ts.edges())
 
     def test_five_vertex_example(self):
         ts = build_TSk(complement(example_five_vertex()), 2)
-        labs = {frozenset(ts.label(i).members())
-                for i in range(ts.num_nodes())}
+        labs = {frozenset(members(m)) for m in ts.label_masks()}
         assert labs == {triple(x) for x in
                         ["12", "15", "23", "25", "34", "45"]}
         assert labelled_edges(ts) == {
@@ -102,7 +100,7 @@ class TestBuildTSk:
 
     def test_node_order_lexicographic(self):
         ts = build_TSk(path(7), 2)
-        tuples = [ts.label(i).members() for i in range(ts.num_nodes())]
+        tuples = [members(m) for m in ts.label_masks()]
         assert tuples == sorted(tuples)
 
     def test_fields(self):
@@ -130,13 +128,15 @@ class TestBuildTS:
         ts = build_TS(g)
         for k in range(1, alpha(g) + 1):
             layer = ts.layer(k)
-            sub_labels = {frozenset(ts.label(i).members()) for i in layer}
+            sub_labels = {frozenset(members(ts.label_masks()[i]))
+                          for i in layer}
             assert sub_labels == labelled_nodes(build_TSk(g, k))
 
     def test_no_cross_size_edges(self):
         ts = build_TS(path(6))
+        masks = ts.label_masks()
         for i, j in ts.edges():
-            assert len(ts.label(i)) == len(ts.label(j))
+            assert masks[i].bit_count() == masks[j].bit_count()
 
     def test_layer_sizes(self):
         ts = build_TS(cycle(5))
@@ -153,7 +153,7 @@ class TestBuildTS:
         assert list(sizes) == sorted(families)
         assert sizes == {k: len(sets) for k, sets in families.items()}
         for k, sets in families.items():
-            assert tuple(ts.label(i).members() for i in ts.layer(k)) \
+            assert tuple(members(ts.label_masks()[i]) for i in ts.layer(k)) \
                 == tuple(map(members, sets))
 
     def test_layers_only_of_ts(self):
@@ -166,7 +166,8 @@ class TestBuildTS:
     def test_c4_isolated_pair_nodes(self):
         ts = build_TS(cycle(4))
         isolated = [i for i in range(ts.num_nodes()) if ts.degree(i) == 0]
-        assert sorted(frozenset(ts.label(i).members()) for i in isolated) \
+        assert sorted(frozenset(members(ts.label_masks()[i]))
+                      for i in isolated) \
             == sorted([frozenset((0, 2)), frozenset((1, 3))])
 
     def test_p4_brute(self):
@@ -233,7 +234,7 @@ class TestBuildLk:
         # adjacent iff the two k-cliques share k - 1 vertices, row by row
         lk = build_Lk(g, k)
         fam = [frozenset(c) for c in sorted(map(sorted, brute_cliques(g, k)))]
-        assert [frozenset(lab.members()) for lab in lk.labels] == fam
+        assert [frozenset(members(m)) for m in lk.label_masks()] == fam
         for i, a in enumerate(fam):
             assert list(lk.neighbors(i)) == [
                 j for j, b in enumerate(fam) if len(a & b) == k - 1]
@@ -317,12 +318,11 @@ class TestInducedLaw:
     def test_restricts_the_full_build(self, g, k, rnd):
         # the same masks as TS_k(g) keeps inside the region, in its
         # order, and exactly the edges TS_k(g) has between them
-        region = VertexSet.of(rnd.sample(range(g.n), rnd.randint(1, g.n)),
-                              g.n)
+        region = rnd.sample(range(g.n), rnd.randint(1, g.n))
         sub = build_TSk_induced(g, k, region)
         full = build_TSk(g, k)
         kept = [i for i, m in enumerate(full.label_masks())
-                if m & ~region.mask == 0]
+                if set(members(m)) <= set(region)]
         pos = {i: p for p, i in enumerate(kept)}
         assert sub.label_masks() == tuple(full.label_masks()[i]
                                           for i in kept)
@@ -393,25 +393,28 @@ class TestCliqueLifting:
 class TestLabeledGraphValidation:
     def test_duplicate_labels_rejected(self):
         base = path(3)
-        labels = [VertexSet.of([0], 3), VertexSet.of([0], 3)]
+        labels = [0b001, 0b001]
         with pytest.raises(Exception):
             LabeledGraph("Abstract", base, labels, [set(), set()])
 
-    @pytest.mark.parametrize("base,labels", [
-        (path(3), [VertexSet.of([0, 9], 12), VertexSet.of([1], 2)]),
-        (path(3), [VertexSet.of([0], 3), VertexSet.of([1], 4)]),
-        (path(4), [(VertexSet.of([0], 4), VertexSet.of([2], 4)),
-                   (VertexSet.of([1], 4), VertexSet.of([3], 4))]),
-        (path(3), [0b001, 0b100]),
-        (None, [VertexSet.of([0], 3), VertexSet.of([2], 3)]),
-    ], ids=["other-hosts", "one-other-host", "pairs", "masks", "no-base"])
-    def test_labels_must_be_vertex_sets_of_the_base(self, base, labels):
-        with pytest.raises(ValueError, match="VertexSets over the base"):
+    @pytest.mark.parametrize("base,labels,message", [
+        (path(3), [1 | 1 << 9, 0b10], "not a set of the base's vertices"),
+        (path(4), [(0b0001, 0b0100), (0b0010, 0b1000)], "int masks"),
+        (path(3), [0b001, 0b1000], "not a set of the base's vertices"),
+        (path(3), [0b001, -1], "not a set of the base's vertices"),
+        (path(3), [True, 0b100], "int masks"),
+        (path(3), [(0,), (2,)], "int masks"),
+        (None, [0b001, 0b100], "int masks"),
+    ], ids=["other-hosts", "pairs", "masks", "negative", "bool", "tuple",
+            "no-base"])
+    def test_labels_must_be_vertex_sets_of_the_base(self, base, labels,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
             LabeledGraph("Abstract", base, labels, [[1], [0]])
 
     def test_labels_must_be_independent_for_tsk(self):
         base = path(2)
-        labels = [VertexSet.of([0, 1], 2)]
+        labels = [0b11]
         with pytest.raises(Exception):
             LabeledGraph("TSk", base, labels, [set()], k=2)
 

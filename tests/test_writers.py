@@ -2,7 +2,7 @@
 
 cli._dumps is checked against json.dumps(obj, sort_keys=True, indent=2),
 and io.export_dot against a reference copy of the DOT writer that formats
-every label from its VertexSet. The streamed output the CLI prints, a
+every label from its mask by the definition. The streamed output the CLI prints, a
 chunk at a time, is checked against the joined text, and its memory
 against the size of that text.
 """
@@ -34,7 +34,7 @@ import tokenslide.io
 from tokenslide.cli import _dumps, _emit, main
 from tokenslide.decompose import product
 from tokenslide.graph import Graph
-from tokenslide.io import export_dot, write_graph6
+from tokenslide.io import export_dot, format_label, write_graph6
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,13 @@ class TestJsonWriter:
 # DOT
 
 
-def _reference_format_label(vs):
-    members = [v + 1 for v in vs.members()]
-    if vs.n <= 9:
-        return "".join(str(v) for v in members)
-    return "-".join(str(v) for v in members)
+def _reference_format_label(mask, n):
+    """The members of mask among n host vertices, 1-indexed, ascending;
+    concatenated for a host of at most 9 vertices, else dash-separated."""
+    members = [str(v + 1) for v in range(n) if mask >> v & 1]
+    if n <= 9:
+        return "".join(members)
+    return "-".join(members)
 
 
 def reference_export_dot(g, graph_name="G"):
@@ -151,9 +153,9 @@ def reference_export_dot(g, graph_name="G"):
         for u, v in g.edges():
             lines.append(f"  v{u} -- v{v};")
     else:
-        for i in range(g.num_nodes()):
-            lines.append(
-                f'  n{i} [label="{_reference_format_label(g.labels[i])}"];')
+        for i, mask in enumerate(g.label_masks()):
+            label = _reference_format_label(mask, g.base.n)
+            lines.append(f'  n{i} [label="{label}"];')
         for i, j in g.edges():
             lines.append(f"  n{i} -- n{j};")
     lines.append("}")
@@ -161,13 +163,20 @@ def reference_export_dot(g, graph_name="G"):
 
 
 def _public_copy(lg):
-    # the same graph through the checked constructor, labels as VertexSets
-    return LabeledGraph(lg.kind, lg.base, lg.labels,
+    # the same graph through the checked constructor
+    return LabeledGraph(lg.kind, lg.base, lg.label_masks(),
                         [lg.neighbors(i) for i in range(lg.num_nodes())],
                         k=lg.k)
 
 
 class TestDotWriter:
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 10, 12, 24])
+    def test_format_label(self, n):
+        masks = range(1 << n) if n <= 12 else [
+            0, 1, 1 << (n - 1), (1 << n) - 1, 0b1010 << 8 | 1 << (n - 1)]
+        for mask in masks:
+            assert format_label(mask, n) == _reference_format_label(mask, n)
+
     def test_named_graph_with_escapes(self):
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)],
                        names=['a"b', "c\\d", 'e\\"', "plain"])
