@@ -58,9 +58,12 @@ def _dumps(obj):
     of such arrays, are written through one str.format template per row
     length. In an array of arrays of int tuples, such as a list of
     triangulations made of shared segments, each distinct tuple is
-    formatted once and each row is one join of those texts. Every other
-    scalar, and dicts with non-string keys, go to json.dumps. Only exact
-    ints qualify: bool and int subclasses print differently.
+    formatted once and each row is one join of those texts. Arrays of
+    strs, arrays of such arrays, and dict keys are quoted by
+    encode_basestring_ascii, the function json.dumps quotes them with,
+    and joined once. Every other scalar, and dicts with non-string keys,
+    go to json.dumps. Only exact ints and strs qualify: bool and int
+    subclasses print differently, and a str subclass may too.
     """
     out = []
     _encode(obj, "\n", out.append)
@@ -68,6 +71,8 @@ def _dumps(obj):
 
 
 _ARRAYS = {list, tuple}
+# json.dumps quotes a str with this function (ensure_ascii is on)
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _encode(obj, nl, write):
@@ -77,6 +82,8 @@ def _encode(obj, nl, write):
         types = set(map(type, obj))
         if types == {int}:
             write(_int_row(len(obj), nl).format(*obj))
+        elif types == {str}:
+            write(_str_row(obj, nl))
         elif types <= _ARRAYS and (
                 rows := _row_texts(obj, inner)) is not None:
             sep = "[" + inner
@@ -94,7 +101,7 @@ def _encode(obj, nl, write):
     elif type(obj) is dict and obj and all(type(k) is str for k in obj):
         sep = "{"
         for k in sorted(obj):
-            write(sep + inner + json.dumps(k) + ": ")
+            write(sep + inner + _quote(k) + ": ")
             sep = ","
             _encode(obj[k], inner, write)
         write(nl + "}")
@@ -102,17 +109,26 @@ def _encode(obj, nl, write):
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
+def _str_row(row, nl):
+    """The text of a non-empty array of exact strs that starts on a line
+    indented as nl."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(_quote, row)) + nl + "]"
+
+
 def _row_texts(obj, nl):
     """The texts of the arrays in obj, rows on lines indented as nl, one
-    at a time; None unless they hold only exact ints or only tuples of
-    exact ints. Int rows fill one cached template per length. A row of
-    tuples is one join of their texts, each distinct tuple formatted
-    once however many rows hold it."""
+    at a time; None unless they hold only exact ints, only exact strs or
+    only tuples of exact ints. Int rows fill one cached template per
+    length. A row of tuples is one join of their texts, each distinct
+    tuple formatted once however many rows hold it."""
     kinds = set(map(type, chain.from_iterable(obj)))
     if kinds <= {int}:
         if len(set(map(len, obj))) == 1:
             return starmap(_int_row(len(obj[0]), nl).format, obj)
         return (_int_row(len(row), nl).format(*row) for row in obj)
+    if kinds == {str}:
+        return (_str_row(row, nl) if row else "[]" for row in obj)
     # every item is typed, not one per distinct tuple: (1, True) equals
     # (1, 1) but prints differently
     if kinds == {tuple} and {int} >= set(
@@ -345,11 +361,10 @@ def _cmd_geom(args):
         else:
             ts = build_TSk(fg.base, a)
             # equal labels index the nodes alike; both builders give
-            # sorted rows, so equal rows are equal edge sets
-            nodes = range(fg.num_nodes())
+            # sorted upper rows, which hold every edge once, so equal
+            # rows are equal edge sets
             ok = (fg.label_masks() == ts.label_masks()
-                  and [*map(fg.neighbors, nodes)]
-                  == [*map(ts.neighbors, nodes)])
+                  and fg.upper_rows() == ts.upper_rows())
         out["ts_iso"] = {"isomorphic": ok, "alpha": a,
                          "triangulations": fg.num_nodes()}
     if args.lawson is not None:

@@ -97,16 +97,14 @@ def product(a, b):
         b_masks = [mb << a.base.n for mb in b_masks]
     nb = len(b_masks)
     masks = tuple(ma | mb for ma in a_masks for mb in b_masks)
-    # node (i, j) is i * nb + j, so its sorted row holds the left factor's
-    # moves to i2 < i, then the right factor's moves, then those to i2 > i
+    # node (i, j) is i * nb + j, so its upper row holds the right
+    # factor's moves to j2 > j, then the left factor's moves to i2 > i
     adj = []
-    for i in range(a.num_nodes()):
-        row_a = a.neighbors(i)
-        for j in range(nb):
-            adj.append(tuple(
-                [i2 * nb + j for i2 in row_a if i2 < i]
-                + [i * nb + j2 for j2 in b.neighbors(j)]
-                + [i2 * nb + j for i2 in row_a if i2 > i]))
+    b_up = b.upper_rows()
+    for i, row_a in enumerate(a.upper_rows()):
+        for j, row_b in enumerate(b_up):
+            adj.append(tuple([i * nb + j2 for j2 in row_b]
+                             + [i2 * nb + j for i2 in row_a]))
     k = (a.k + b.k) if (a.k is not None and b.k is not None) else None
     return LabeledGraph._unchecked("Product", base, tuple(adj), k=k,
                                    masks=masks)
@@ -177,7 +175,7 @@ def decompose_join(spec):
     h1_mask = spec.h1
     h2_mask = spec.h2 << n1
     full = build_TSk(g, k)
-    full_masks = full.label_masks()
+    full_masks, full_up = full.label_masks(), full.upper_rows()
 
     part_s = (k, 0) + tuple(range(1, k))
     t_of = {s: t for t, s in enumerate(part_s)}
@@ -188,7 +186,8 @@ def decompose_join(spec):
         ids = [i for i, p in enumerate(part_of) if p == t]  # in full order
         masks = tuple(full_masks[i] for i in ids)
         local = {m: i for i, m in enumerate(masks)}
-        adj = tuple(tuple(local[full_masks[j]] for j in full.neighbors(i)
+        # local keeps the full order, so restricted upper rows stay upper
+        adj = tuple(tuple(local[full_masks[j]] for j in full_up[i]
                           if part_of[j] == t) for i in ids)
         parts.append(LabeledGraph._unchecked("TSk", g, adj, k=k, masks=masks))
         routes = []

@@ -174,8 +174,8 @@ def export_dot(g, graph_name="G", write=None):
     else:
         nodes = (f'  n{i} [label="{text}"];\n' for i, text in
                  enumerate(map(_label_formatter(g.base.n), g.label_masks())))
-        edges = (f"  n{i} -- n{j};\n" for i in range(g.num_nodes())
-                 for j in g.neighbors(i) if j > i)
+        edges = (f"  n{i} -- n{j};\n"
+                 for i, row in enumerate(g.upper_rows()) for j in row)
     write(f"graph {graph_name} {{\n")
     for lines in (nodes, edges):
         while chunk := "".join(islice(lines, CHUNK_ROWS)):
@@ -189,6 +189,6 @@ def labeled_to_json(lg):
         "kind": lg.kind,
         "base": graph_to_json(lg.base),
         "nodes": [list(members(m)) for m in lg.label_masks()],
-        "edges": [[i, j] for i in range(lg.num_nodes())
-                  for j in lg.neighbors(i) if j > i],
+        "edges": [[i, j] for i, row in enumerate(lg.upper_rows())
+                  for j in row],
     }

@@ -428,9 +428,13 @@ def components_eulerian(g):
 
 
 def girth(g):
-    """Length of a shortest cycle, or INFINITE for forests."""
+    """Length of a shortest cycle, or INFINITE for forests.
+
+    Without a triangle the girth is at least 4, so the search stops at
+    the first 4-cycle instead of running a BFS from every node.
+    """
     n, adj = _as_adj(g)
-    return _girth(n, adj, 3)
+    return _girth(n, adj, 3 if has_clique(g, 3) else 4)
 
 
 def _girth(n, adj, low):

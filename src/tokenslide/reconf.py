@@ -2,12 +2,16 @@
 
 Nodes carry labels, vertex sets of the base graph held as bit masks,
 and every builder's edges are single-token moves, never found by
-comparing all pairs. TS_k, TS and F_k slide a token along an edge of the
-base graph: _slide_edges moves each token of a node along each edge and
-looks the result up in the node index, O(nodes * k * degree). L_k (and
-geometry's flip graph) swap one element for any other: _swap_edges
-groups the nodes by their shared (k-1)-subsets, k dictionary operations
-per node.
+comparing all pairs. A LabeledGraph stores each edge once, in the upper
+row of its earlier end; whole neighbour rows are derived only when a
+property asks for them. TS_k, TS and F_k slide a token along an edge of
+the base graph: their nodes are ordered by sorted member tuples, and a
+token that slides from u to a higher vertex v gives a set whose sorted
+tuple is larger, first at u's place, so _slide_edges probes only the
+slides upward and finds every edge once, from its earlier end, with
+half the lookups of probing both ways. L_k (and geometry's flip graph) swap
+one element for any other: _swap_edges groups the nodes by their shared
+(k-1)-subsets, k dictionary operations per node.
 """
 
 from __future__ import annotations
@@ -28,13 +32,17 @@ class LabeledGraph:
     """A graph whose nodes are labeled vertex sets of a base graph.
 
     Every label is held as a bit mask over the base's vertices; a
-    product node (A, B) is the union A | B. Adjacency rows are sorted,
-    symmetric and loopless; labels are distinct. The public constructor
-    takes int mask labels and checks all of this (check_labeled_graph);
-    the package's own builders use _unchecked.
+    product node (A, B) is the union A | B. Labels are distinct. Each
+    node stores its upper row: its later neighbours, sorted, so every
+    edge is held once, in the row of its earlier end. The whole rows
+    that neighbors and degree read, and the props and canon algorithms
+    through them, are derived from the upper rows on first use and kept.
+    The public constructor takes int mask labels and whole, symmetric
+    rows, checks them (check_labeled_graph) and keeps their upper
+    halves; the package's own builders use _unchecked.
     """
 
-    __slots__ = ("kind", "base", "_masks", "_adj", "k")
+    __slots__ = ("kind", "base", "_masks", "_up", "_full", "k")
 
     def __init__(self, kind, base, labels, adj, k=None):
         labels = tuple(labels)
@@ -42,16 +50,26 @@ class LabeledGraph:
         if getattr(base, "n", None) is None or any(
                 type(lab) is not int for lab in labels):
             raise ValueError("labels must be int masks over the base")
+        rows = [sorted(row) for row in adj]
+        m = len(rows)
+        for i, row in enumerate(rows):
+            for j in row:
+                if j == i:
+                    raise ValueError(f"loop at node {i}")
+                if not 0 <= j < m or i not in rows[j]:
+                    raise ValueError(f"asymmetric adjacency at ({i},{j})")
         _fill(self, kind, base, labels,
-              tuple(tuple(sorted(row)) for row in adj), k)
+              tuple(tuple(j for j in row if j > i)
+                    for i, row in enumerate(rows)), k)
         check_labeled_graph(self)
 
     @classmethod
-    def _unchecked(cls, kind, base, adj, k=None, *, masks):
-        """A builder's output, taken as it is: adj a tuple of sorted
-        tuples, and the labels as masks over base's vertices."""
+    def _unchecked(cls, kind, base, up, k=None, *, masks):
+        """A builder's output, taken as it is: up a tuple of upper rows
+        (sorted tuples of later nodes), and the labels as masks over
+        base's vertices."""
         lg = object.__new__(cls)
-        _fill(lg, kind, base, masks, adj, k)
+        _fill(lg, kind, base, masks, up, k)
         return lg
 
     def __setattr__(self, name, value):
@@ -61,21 +79,41 @@ class LabeledGraph:
         """Node labels as bit masks over the base."""
         return self._masks
 
+    def upper_rows(self):
+        """Each node's later neighbours, sorted: every edge once."""
+        return self._up
+
+    def _rows(self):
+        """Each node's whole neighbour row, sorted, built on first use.
+
+        A transpose that needs no sort: node j collects the earlier
+        nodes i in ascending order, then its own upper row follows.
+        """
+        full = self._full
+        if full is None:
+            full = [[] for _ in self._up]
+            for i, row in enumerate(self._up):
+                for j in row:
+                    full[j].append(i)
+            full = tuple(tuple(low) + row
+                         for low, row in zip(full, self._up))
+            object.__setattr__(self, "_full", full)
+        return full
+
     def num_nodes(self):
-        return len(self._adj)
+        return len(self._up)
 
     def num_edges(self):
-        return sum(map(len, self._adj)) // 2
+        return sum(map(len, self._up))
 
     def edges(self):
-        return [(i, j) for i in range(len(self._adj))
-                for j in self._adj[i] if i < j]
+        return [(i, j) for i, row in enumerate(self._up) for j in row]
 
     def neighbors(self, i):
-        return self._adj[i]
+        return self._rows()[i]
 
     def degree(self, i):
-        return len(self._adj[i])
+        return len(self._rows()[i])
 
     def _label_sizes(self):
         if self.kind != "TS":
@@ -91,10 +129,13 @@ class LabeledGraph:
 
     def adjacency_masks(self):
         """Neighbor bit masks over node indices (for property algorithms)."""
-        masks = [0] * len(self._adj)
-        for i, row in enumerate(self._adj):
+        masks = [0] * len(self._up)
+        for i, row in enumerate(self._up):
+            bit, upper = 1 << i, 0
             for j in row:
-                masks[i] |= 1 << j
+                upper |= 1 << j
+                masks[j] |= bit
+            masks[i] |= upper
         return masks
 
     def __repr__(self):
@@ -102,9 +143,9 @@ class LabeledGraph:
                 f"edges={self.num_edges()})")
 
 
-def _fill(lg, kind, base, masks, adj, k):
+def _fill(lg, kind, base, masks, up, k):
     for name, value in (("kind", kind), ("base", base), ("_masks", masks),
-                        ("_adj", adj), ("k", k)):
+                        ("_up", up), ("_full", None), ("k", k)):
         object.__setattr__(lg, name, value)
 
 
@@ -112,27 +153,30 @@ def check_labeled_graph(lg):
     """Raise ValueError unless lg is well formed.
 
     Checks the kind, distinct label masks over the base's vertices, one
-    sorted, loopless, symmetric adjacency row per label, and for TSk
-    that every label is an independent set of size k of the base.
+    upper row per label, strictly increasing and holding only later
+    nodes, and for TSk that every label is an independent set of size k
+    of the base.
     """
     if lg.kind not in KINDS:
         raise ValueError(f"unknown kind {lg.kind!r}")
-    masks, adj = lg._masks, lg._adj
-    if len(adj) != len(masks):
+    masks, up = lg._masks, lg._up
+    if len(up) != len(masks):
         raise ValueError("adjacency size does not match label count")
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate node labels")
     if any(m < 0 or m >> lg.base.n for m in masks):
         raise ValueError("a label is not a set of the base's vertices")
     m = len(masks)
-    for i, row in enumerate(adj):
-        if list(row) != sorted(row):
-            raise ValueError(f"adjacency row {i} is not sorted")
-        for j in row:
-            if j == i:
-                raise ValueError(f"loop at node {i}")
-            if not 0 <= j < m or i not in adj[j]:
-                raise ValueError(f"asymmetric adjacency at ({i},{j})")
+    for i, row in enumerate(up):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise ValueError(f"adjacency row {i} is not sorted or repeats "
+                             f"a node")
+        if row and row[0] <= i:
+            raise ValueError(f"loop at node {i}" if row[0] == i else
+                             f"upper row {i} holds earlier node {row[0]}")
+        if row and row[-1] >= m:
+            raise ValueError(f"upper row {i} holds node {row[-1]}, past "
+                             f"the last node")
     if lg.kind == "TSk":
         for mask in masks:
             if mask.bit_count() != lg.k:
@@ -143,21 +187,24 @@ def check_labeled_graph(lg):
 
 
 def _slide_edges(g, masks):
-    """Sorted adjacency rows under the token-slide rule.
+    """Upper adjacency rows under the token-slide rule.
 
     A token on u slides to a neighbour v by flipping both bits. The masks
     must be independent sets of g, so v is never occupied, or all of one
     size, so a flip that also clears v gives a mask two tokens short,
-    which the index cannot hold.
+    which the index cannot hold. They must also be ordered by sorted
+    member tuples within each size, so a slide to a higher v leads to a
+    later node and only those slides are probed.
     """
     index = {m: i for i, m in enumerate(masks)}.get
-    # flips[u]: the bits of u and one neighbour of u, one int each
-    flips = [[1 << u | 1 << v for v in g.neighbors(u)] for u in range(g.n)]
+    # ups[u]: the bits of u and one higher neighbour of u, one int each
+    ups = [[1 << u | 1 << v for v in g.neighbors(u) if v > u]
+           for u in range(g.n)]
     adj = []
     for m in masks:
         row = []
         for u in members(m):
-            for f in flips[u]:
+            for f in ups[u]:
                 j = index(m ^ f)
                 if j is not None:
                     row.append(j)
@@ -167,12 +214,14 @@ def _slide_edges(g, masks):
 
 
 def _swap_edges(masks):
-    """Sorted adjacency rows joining equal-size masks that differ by
+    """Upper adjacency rows joining equal-size masks that differ by
     swapping one element for another.
 
     Two such sets share exactly one (k-1)-subset, so the nodes are
     grouped by the subsets left when one member is dropped, and each
-    group is a clique: k dictionary operations per node.
+    group is a clique: k dictionary operations per node. Node i is
+    appended to its earlier holders' rows as the nodes come in order,
+    so every row arrives sorted.
     """
     # subset -> its one holder so far, or the list of its holders from
     # the second on (a list for each subset would double the memory)
@@ -188,10 +237,9 @@ def _swap_edges(masks):
                 group = groups[key] = [group]
             for j in group:
                 rows[j].append(i)
-                rows[i].append(j)
             group.append(i)
     del groups
-    return tuple(tuple(sorted(row)) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def build_TSk(g, k):

@@ -463,15 +463,14 @@ class TestGeom:
         # the flip graph of PTS_JSON less one edge, or with one label
         # mask changed, is not TS_alpha of the crossing graph
         fg = flip_graph(json.loads(PTS_JSON))
-        adj = [list(fg.neighbors(i)) for i in range(fg.num_nodes())]
+        up = [list(row) for row in fg.upper_rows()]
         masks = list(fg.label_masks())
         if fault == "missing-flip":
-            j = adj[0].pop()
-            adj[j].remove(0)
+            up[0].pop()  # each edge is stored once, in its earlier end's row
         else:
             masks[0] ^= 1
         bad = LabeledGraph._unchecked(fg.kind, fg.base,
-                                      tuple(map(tuple, adj)), k=fg.k,
+                                      tuple(map(tuple, up)), k=fg.k,
                                       masks=tuple(masks))
         monkeypatch.setattr("tokenslide.cli.flip_graph", lambda pts: bad)
         js = run_json(capsys, "geom", "--points", PTS_JSON, "--check-ts-iso")

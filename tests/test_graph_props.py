@@ -330,6 +330,30 @@ class TestGirth:
     def test_single_token_path_acyclic(self):
         assert girth(build_TSk(path(6), 1)) is INFINITE
 
+    @pytest.mark.parametrize("g", [build_TSk(path(8), 3), cycle(7),
+                                   build_TSk(cycle(9), 2), path(5),
+                                   complete(4)],
+                             ids=["TS3-P8", "C7", "TS2-C9", "P5", "K4"])
+    def test_triangle_free_search_stops_at_four(self, monkeypatch, g):
+        # a triangle-free graph has girth at least 4, and the search is
+        # told so rather than looking for a triangle from every node
+        import tokenslide.props
+
+        lows = []
+        real = tokenslide.props._girth
+
+        def spy(n, adj, low):
+            lows.append(low)
+            return real(n, adj, low)
+
+        monkeypatch.setattr(tokenslide.props, "_girth", spy)
+        ours = girth(g)
+        assert lows == [3 if has_clique(g, 3) else 4]
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(g.num_nodes()))
+        want = nx.girth(nxg)
+        assert ours == (INFINITE if want == float("inf") else want)
+
 
 class TestChromatic:
     def test_odd_cycle(self):

@@ -430,6 +430,19 @@ class TestLabeledJson:
         assert all(a < b for a, b in js["edges"])
 
 
+def _brute_rows(lg):
+    """Whole adjacency rows of lg from all pairs of its labels: one element
+    swapped for another (Lk, Flip), or one token slid along an edge of the
+    base (the others; in the two products built below, a move of one
+    factor is exactly a slide between the unions)."""
+    masks = lg.label_masks()
+    swap = lg.kind in ("Lk", "Flip")
+    return [tuple(j for j, b in enumerate(masks)
+                  if (a ^ b).bit_count() == 2
+                  and (swap or lg.base.has_edge(*members(a ^ b))))
+            for a in masks]
+
+
 class TestBuilderInvariants:
     """The builders skip LabeledGraph's checks; their output passes them."""
 
@@ -463,12 +476,31 @@ class TestBuilderInvariants:
         assert built[-1].num_nodes() == 14  # Catalan(4)
         for lg in built:
             check_labeled_graph(lg)
+            # whole rows, derived from the stored upper rows, are the
+            # brute-force symmetric rows of the graph's labels
+            assert [lg.neighbors(i) for i in range(lg.num_nodes())] \
+                == _brute_rows(lg)
 
     def test_check_rejects_an_unsorted_row(self):
         from tokenslide.reconf import check_labeled_graph
 
         base = make_graph(3, [])
-        lg = LabeledGraph._unchecked("Abstract", base, ((2, 1), (0,), (0,)),
+        lg = LabeledGraph._unchecked("Abstract", base, ((2, 1), (), ()),
                                      masks=(1, 2, 4))
         with pytest.raises(ValueError, match="not sorted"):
+            check_labeled_graph(lg)
+
+    @pytest.mark.parametrize("up,message", [
+        (((1,), (1,), ()), "loop at node 1"),
+        (((1, 2), (0,), ()), "upper row 1 holds earlier node 0"),
+        (((1,), (2,), (0,)), "upper row 2 holds earlier node 0"),
+        (((1, 3), (), ()), "holds node 3, past the last node"),
+        (((1, 1), (), ()), "repeats a node"),
+    ], ids=["loop", "mirrored", "back-edge", "out-of-range", "repeat"])
+    def test_check_rejects_a_row_that_is_not_upper(self, up, message):
+        from tokenslide.reconf import check_labeled_graph
+
+        lg = LabeledGraph._unchecked("Abstract", make_graph(3, []), up,
+                                     masks=(1, 2, 4))
+        with pytest.raises(ValueError, match=message):
             check_labeled_graph(lg)

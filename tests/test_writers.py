@@ -12,7 +12,7 @@ import io
 import json
 import math
 import tracemalloc
-
+from hashlib import sha256
 from unittest import mock
 
 import pytest
@@ -66,9 +66,24 @@ int_tuples = st.lists(ints, max_size=3).map(tuple)
 odd_tuples = st.lists(st.one_of(ints, st.booleans()), max_size=3).map(tuple)
 tuple_rows = st.lists(st.one_of(int_tuples, odd_tuples), min_size=1,
                       max_size=4).flatmap(_rows_from)
+
+
+class _Text(str):
+    """A str subclass, which the writer leaves to json.dumps."""
+
+
+# lists of strs and of str pairs, as node labels and label edges, take
+# the writer's quoting path; a str subclass among them must not
+texts = st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1f\x7f/é€😀 '),
+                max_size=6)
+str_lists = st.lists(st.one_of(texts, texts.map(_Text)), max_size=5)
+str_pairs = st.lists(st.one_of(
+    st.tuples(texts, texts).map(list), st.tuples(texts, texts),
+    st.tuples(texts, texts.map(_Text)).map(list)), max_size=5)
 json_values = st.recursive(
     st.one_of(scalars, int_lists, st.lists(int_lists, max_size=4),
-              equal_rows, int_lists.map(tuple), tuple_rows),
+              equal_rows, int_lists.map(tuple), tuple_rows, str_lists,
+              str_pairs),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -101,6 +116,14 @@ class TestJsonWriter:
     def test_int_arrays_skip_json_dumps(self):
         # tuples take the fast paths as lists do
         obj = [(1, 2), [(1, 2), [3]], TRIANGULATIONS]
+        expected = json.dumps(obj, sort_keys=True, indent=2)
+        with mock.patch.object(json, "dumps", side_effect=AssertionError):
+            assert _dumps(obj) == expected
+
+    def test_str_arrays_and_keys_skip_json_dumps(self):
+        # labels and label pairs, as decompose prints them
+        obj = {"nodes": ["1-3", 'q"\\é\x01'],
+               "edges": [("a", "b"), [], ["\u20ac", "\n"]]}
         expected = json.dumps(obj, sort_keys=True, indent=2)
         with mock.patch.object(json, "dumps", side_effect=AssertionError):
             assert _dumps(obj) == expected
@@ -236,6 +259,23 @@ NAMED = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
                    names=['a"b', "c\\d", 'e\\"', "plain", ""])
 
 
+def _assert_same_text(got, want):
+    """Fail unless got == want, naming the first differing line.
+
+    The texts are compared by SHA-256 digest, and the failure message
+    holds only that line: pytest's diff of two texts of hundreds of
+    kilobytes would run for minutes.
+    """
+    if sha256(got.encode()).digest() == sha256(want.encode()).digest():
+        return
+    a, b = got.splitlines(), want.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    pytest.fail(f"texts differ first at line {i + 1}: "
+                f"{a[i] if i < len(a) else '<end>'!r} against "
+                f"{b[i] if i < len(b) else '<end>'!r}", pytrace=False)
+
+
 class TestStreaming:
     @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
     @pytest.mark.parametrize("g,k", [(path(20), 5), (NAMED, None),
@@ -250,7 +290,8 @@ class TestStreaming:
             out = _stdout_of(["build", "--json", str(graph_file), *mode,
                               "--format", "dot"])
         lab = build_TS(g) if k is None else build_TSk(g, k)
-        assert out == export_dot(lab) == reference_export_dot(lab)
+        _assert_same_text(out, export_dot(lab))
+        _assert_same_text(out, reference_export_dot(lab))
 
     @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
     @pytest.mark.parametrize("g", [NAMED, build_TSk(cycle(9), 3),
