@@ -6,8 +6,7 @@ and map triangulation flip graphs onto the same machinery.
 """
 
 from .canon import canonical_form, canonical_labeling, is_isomorphic, iso_map
-from .config import (DEFAULT_ISO_BUDGET, DEFAULT_NODE_BUDGET,
-                     DEFAULT_SEARCH_BUDGET, node_budget)
+from .config import node_budget
 from .decompose import (Decomposition, JoinSpec, check_disconnection,
                         decompose_join, join_spec_from_json, product)
 from .enumeration import (GRAPHS_MAX_N, TREES_MAX_N, enumerate_connected_graphs,

@@ -4,10 +4,9 @@ The node budget caps how many stable sets an enumeration or builder may
 produce before failing loudly with ExplosionCap. The environment variable
 TOKENSLIDE_NODE_BUDGET overrides the default for a whole process.
 
-Every budget is read from this module at call time: assign
-tokenslide.config.DEFAULT_SEARCH_BUDGET (or the node or iso budget) to
-change it. The DEFAULT_* names at the package root are copies made at
-import, and assigning to them changes nothing.
+Every budget is read from this module at call time, and this module is
+the one place to set one: assign tokenslide.config.DEFAULT_SEARCH_BUDGET
+(or the node or iso budget) to change it.
 """
 
 import os

@@ -106,8 +106,7 @@ def product(a, b):
             adj.append(tuple([i * nb + j2 for j2 in row_b]
                              + [i2 * nb + j for i2 in row_a]))
     k = (a.k + b.k) if (a.k is not None and b.k is not None) else None
-    return LabeledGraph._unchecked("Product", base, tuple(adj), k=k,
-                                   masks=masks)
+    return LabeledGraph._unchecked("Product", base, masks, tuple(adj), k=k)
 
 
 def _route(g, a_region, s, b_region, t):
@@ -189,7 +188,7 @@ def decompose_join(spec):
         # local keeps the full order, so restricted upper rows stay upper
         adj = tuple(tuple(local[full_masks[j]] for j in full_up[i]
                           if part_of[j] == t) for i in ids)
-        parts.append(LabeledGraph._unchecked("TSk", g, adj, k=k, masks=masks))
+        parts.append(LabeledGraph._unchecked("TSk", g, masks, adj, k=k))
         routes = []
         if s > 0:
             routes.append(("left", _route(g, g1_mask, s,

@@ -232,9 +232,9 @@ def flip_graph(points):
     """
     sg, stables = _crossing_stables(points, "flip graph")
     stables = tuple(sorted(stables, key=members))
-    return LabeledGraph._unchecked("Flip", sg.graph,
+    return LabeledGraph._unchecked("Flip", sg.graph, stables,
                                    _swap_edges(stables),
-                                   k=stables[0].bit_count(), masks=stables)
+                                   k=stables[0].bit_count())
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def _label_formatter(n):
     return fmt
 
 
-def export_dot(g, graph_name="G", write=None):
+def export_dot(g, write=None):
     """DOT text for a Graph (vertex names) or LabeledGraph (set labels).
 
     The node lines, then the edge lines, are formatted CHUNK_ROWS at a
@@ -162,7 +162,7 @@ def export_dot(g, graph_name="G", write=None):
     """
     if write is None:
         out = []
-        export_dot(g, graph_name, out.append)
+        export_dot(g, out.append)
         return "".join(out)
     if isinstance(g, Graph):
         # names are free text; set labels are digits and dashes
@@ -176,7 +176,7 @@ def export_dot(g, graph_name="G", write=None):
                  enumerate(map(_label_formatter(g.base.n), g.label_masks())))
         edges = (f"  n{i} -- n{j};\n"
                  for i, row in enumerate(g.upper_rows()) for j in row)
-    write(f"graph {graph_name} {{\n")
+    write("graph G {\n")
     for lines in (nodes, edges):
         while chunk := "".join(islice(lines, CHUNK_ROWS)):
             write(chunk)

@@ -37,37 +37,22 @@ class LabeledGraph:
     edge is held once, in the row of its earlier end. The whole rows
     that neighbors and degree read, and the props and canon algorithms
     through them, are derived from the upper rows on first use and kept.
-    The public constructor takes int mask labels and whole, symmetric
-    rows, checks them (check_labeled_graph) and keeps their upper
-    halves; the package's own builders use _unchecked.
+    The constructor takes the labels as int masks and the upper rows,
+    and checks them with check_labeled_graph; _unchecked takes the same
+    parameters and skips the check, for the package's own builders.
     """
 
     __slots__ = ("kind", "base", "_masks", "_up", "_full", "k")
 
-    def __init__(self, kind, base, labels, adj, k=None):
-        labels = tuple(labels)
-        # type() and not isinstance(): a bool is not a mask
-        if getattr(base, "n", None) is None or any(
-                type(lab) is not int for lab in labels):
-            raise ValueError("labels must be int masks over the base")
-        rows = [sorted(row) for row in adj]
-        m = len(rows)
-        for i, row in enumerate(rows):
-            for j in row:
-                if j == i:
-                    raise ValueError(f"loop at node {i}")
-                if not 0 <= j < m or i not in rows[j]:
-                    raise ValueError(f"asymmetric adjacency at ({i},{j})")
-        _fill(self, kind, base, labels,
-              tuple(tuple(j for j in row if j > i)
-                    for i, row in enumerate(rows)), k)
+    def __init__(self, kind, base, masks, up, k=None):
+        _fill(self, kind, base, tuple(masks), tuple(map(tuple, up)), k)
         check_labeled_graph(self)
 
     @classmethod
-    def _unchecked(cls, kind, base, up, k=None, *, masks):
-        """A builder's output, taken as it is: up a tuple of upper rows
-        (sorted tuples of later nodes), and the labels as masks over
-        base's vertices."""
+    def _unchecked(cls, kind, base, masks, up, k=None):
+        """A builder's output, taken as it is: masks a tuple of label masks
+        over base's vertices, up a tuple of upper rows (sorted tuples of
+        later nodes)."""
         lg = object.__new__(cls)
         _fill(lg, kind, base, masks, up, k)
         return lg
@@ -152,7 +137,8 @@ def _fill(lg, kind, base, masks, up, k):
 def check_labeled_graph(lg):
     """Raise ValueError unless lg is well formed.
 
-    Checks the kind, distinct label masks over the base's vertices, one
+    Checks the kind, a base with a vertex count, distinct labels that
+    are exact ints (a bool is not a mask) over the base's vertices, one
     upper row per label, strictly increasing and holding only later
     nodes, and for TSk that every label is an independent set of size k
     of the base.
@@ -160,11 +146,15 @@ def check_labeled_graph(lg):
     if lg.kind not in KINDS:
         raise ValueError(f"unknown kind {lg.kind!r}")
     masks, up = lg._masks, lg._up
+    n = getattr(lg.base, "n", None)
+    # type() and not isinstance(): a bool is not a mask
+    if n is None or any(type(m) is not int for m in masks):
+        raise ValueError("labels must be int masks over the base")
     if len(up) != len(masks):
         raise ValueError("adjacency size does not match label count")
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate node labels")
-    if any(m < 0 or m >> lg.base.n for m in masks):
+    if any(m < 0 or m >> n for m in masks):
         raise ValueError("a label is not a set of the base's vertices")
     m = len(masks)
     for i, row in enumerate(up):
@@ -245,22 +235,20 @@ def _swap_edges(masks):
 def build_TSk(g, k):
     """TS_k(g): size-k independent sets, adjacent iff one token slides."""
     masks = independent_sets_of_size(g, k)
-    return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
-                                   masks=masks)
+    return LabeledGraph._unchecked("TSk", g, masks, _slide_edges(g, masks),
+                                   k=k)
 
 
 def build_TS(g):
     """TS(g): all non-empty independent sets; disjoint union of TS_k layers."""
     masks = all_independent_sets(g)
-    return LabeledGraph._unchecked("TS", g, _slide_edges(g, masks),
-                                   masks=masks)
+    return LabeledGraph._unchecked("TS", g, masks, _slide_edges(g, masks))
 
 
 def build_Lk(g, k):
     """L_k(g): size-k cliques, adjacent iff they share k-1 vertices."""
     masks = cliques_of_size(g, k)
-    return LabeledGraph._unchecked("Lk", g, _swap_edges(masks), k=k,
-                                   masks=masks)
+    return LabeledGraph._unchecked("Lk", g, masks, _swap_edges(masks), k=k)
 
 
 def build_Fk(g, k):
@@ -272,8 +260,7 @@ def build_Fk(g, k):
         raise ExplosionCap(
             f"F_{k} would have {comb(g.n, k)} nodes, budget is {cap}")
     masks = independent_sets_of_size(make_graph(g.n, []), k)
-    return LabeledGraph._unchecked("Fk", g, _slide_edges(g, masks), k=k,
-                                   masks=masks)
+    return LabeledGraph._unchecked("Fk", g, masks, _slide_edges(g, masks), k=k)
 
 
 def build_TSk_induced(g, k, vertices):
@@ -281,5 +268,5 @@ def build_TSk_induced(g, k, vertices):
     indexing: the stable k-sets inside the region, slides among them."""
     region = _mask_of(vertices, g.n)
     masks = tuple(_enumerate_stable_masks(g._adj, region, k, []))
-    return LabeledGraph._unchecked("TSk", g, _slide_edges(g, masks), k=k,
-                                   masks=masks)
+    return LabeledGraph._unchecked("TSk", g, masks, _slide_edges(g, masks),
+                                   k=k)

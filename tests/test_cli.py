@@ -208,6 +208,11 @@ class TestAnalyze:
         assert js["planar"] is False
         assert js["chromatic"] == 5
 
+    def test_chromatic_below_dsatur_bound(self, capsys):
+        # DSATUR colours this 9-vertex graph with 4; the search finds 3
+        js = run_json(capsys, "analyze", "--graph6", "HLago@r")
+        assert (js["clique"], js["chromatic"]) == (3, 3)
+
     def test_ts_k(self, capsys):
         js = run_json(capsys, "analyze", "--graph6", write_graph6(path(8)),
                       "--ts", "3")
@@ -469,9 +474,8 @@ class TestGeom:
             up[0].pop()  # each edge is stored once, in its earlier end's row
         else:
             masks[0] ^= 1
-        bad = LabeledGraph._unchecked(fg.kind, fg.base,
-                                      tuple(map(tuple, up)), k=fg.k,
-                                      masks=tuple(masks))
+        bad = LabeledGraph._unchecked(fg.kind, fg.base, tuple(masks),
+                                      tuple(map(tuple, up)), k=fg.k)
         monkeypatch.setattr("tokenslide.cli.flip_graph", lambda pts: bad)
         js = run_json(capsys, "geom", "--points", PTS_JSON, "--check-ts-iso")
         assert js["ts_iso"] == {"isomorphic": False, "alpha": 4,
@@ -614,7 +618,7 @@ class TestHarness:
         "json-n-boolean", "json-edge-boolean", "point-boolean",
         "lawson-segment-boolean", "json-file-not-utf8", "spec-file-not-utf8",
         "json-file-too-deep", "spec-too-deep", "points-too-deep",
-        "spec-stdin-not-utf8"])
+        "spec-stdin-not-utf8", "budget-zero", "family-without-n"])
     def test_bad_input_is_exit_2(self, case, capsys, monkeypatch, tmp_path):
         g6 = write_graph6(path(3))
         graph_file = tmp_path / "g.json"
@@ -667,9 +671,12 @@ class TestHarness:
             "spec-too-deep": ["decompose", "--stdin"],
             "points-too-deep": ["geom", "--stdin", "--check"],
             "spec-stdin-not-utf8": ["decompose", "--stdin"],
+            "budget-zero": ["build", "--graph6", g6, "--k", "1"],
+            "family-without-n": ["realize", "--family", "path", "--k", "2"],
         }[case]
-        if case == "budget-not-an-integer":
-            monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", "abc")
+        budget = {"budget-not-an-integer": "abc", "budget-zero": "0"}
+        if case in budget:
+            monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", budget[case])
         spec = TestDecompose.SPEC
         stdin = {"spec-missing-keys": "{}", "spec-not-an-object": "[1, 2]",
                  "spec-k-not-an-integer": json.dumps({**spec, "k": "1"}),
@@ -686,6 +693,8 @@ class TestHarness:
         assert code == 2, err
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+        assert {"budget-zero": "TOKENSLIDE_NODE_BUDGET must be positive",
+                "family-without-n": "--family needs --n"}.get(case, "") in err
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

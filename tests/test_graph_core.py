@@ -119,6 +119,50 @@ class TestOversizedGenerators:
         assert peak < 2**20
 
 
+class TestInputErrors:
+    """Each bad input raises its own class with a message naming it."""
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: path(0), IndexOutOfRange, "path needs n >= 1"),
+        (lambda: complete(0), IndexOutOfRange, "complete needs n >= 1"),
+        (lambda: star(0), IndexOutOfRange, "star needs n >= 1"),
+        (lambda: complete_bipartite(0, 2), IndexOutOfRange,
+         "complete_bipartite needs m, n >= 1"),
+        (lambda: complete_minus_edge(1), IndexOutOfRange,
+         "complete_minus_edge needs n >= 2"),
+        (lambda: make_graph(-1, []), IndexOutOfRange,
+         "vertex count -1 is negative"),
+        (lambda: make_graph(3, [], names=["a"]), IndexOutOfRange,
+         "1 names for 3 vertices"),
+        (lambda: add_isolated(path(3), -1), IndexOutOfRange,
+         "add_isolated needs t >= 0"),
+        (lambda: relabel(path(3), [0, 0, 1]), IndexOutOfRange,
+         "perm is not a permutation of 0..n-1"),
+        (lambda: path(3).has_edge(0, 3), IndexOutOfRange,
+         "edge (0,3) outside 0..2"),
+        (lambda: add_isolated(path(100), 29), NExceedsWidth,
+         "vertex count 129 exceeds the cap 128"),
+        (lambda: disjoint_union(path(100), path(29)), NExceedsWidth,
+         "vertex count 129 exceeds the cap 128"),
+        (lambda: parse_graph6("~~??????"), MalformedGraph6,
+         "very long size form not supported"),
+        (lambda: parse_graph6("~?B" + "?" * 10), MalformedGraph6,
+         "graph has 192 vertices, cap is 128"),
+        (lambda: parse_graph6("Bx"), MalformedGraph6,
+         "nonzero padding bits"),
+        (lambda: graph_from_json({"n": 2, "edges": [], "names": "ab"}),
+         MalformedGraph6, "JSON graph names must be a list or null"),
+    ], ids=["path0", "complete0", "star0", "bipartite0", "minus-edge1",
+            "negative-n", "names", "isolated-negative", "relabel",
+            "has-edge", "isolated-width", "union-width", "g6-very-long",
+            "g6-192", "g6-padding", "json-names"])
+    def test_raises(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestComplement:
     def test_complete_to_edgeless(self):
         g = complement(complete(4))
@@ -304,6 +348,9 @@ class TestGraph6:
     def test_long_form(self):
         g = path(70)
         assert parse_graph6(write_graph6(g)) == g
+
+    def test_header_is_skipped(self):
+        assert parse_graph6(">>graph6<<Bw") == complete(3)
 
     @pytest.mark.parametrize("bad", ["", "C", "D?", "~", "Bw\x7f"])
     def test_malformed(self, bad):

@@ -43,6 +43,7 @@ from tokenslide import (
     join,
     make_graph,
     omega,
+    parse_graph6,
     path,
     relabel,
     star,
@@ -381,6 +382,23 @@ class TestChromatic:
         drop = rnd.choice(edges)
         sub = make_graph(g.n, [e for e in edges if e != drop])
         assert chromatic_number(sub) <= chromatic_number(g)
+
+    # DSATUR is exact on every graph of up to 7 vertices, so the search
+    # below its bound needs more: these two use 4 colours under DSATUR
+    @pytest.mark.parametrize("g6,edges", [("HLago@r", 14), ("HrWUX_J", 16)])
+    def test_search_below_dsatur_bound(self, g6, edges):
+        g = parse_graph6(g6)
+        assert (g.n, len(edge_set(g))) == (9, edges)
+        n, adj = _as_adj(g)
+        assert clique_number(g) == 3
+        assert max(_dsatur(n, adj)) + 1 == 4
+        assert chromatic_number(g) == 3 == brute_chromatic(g)
+        assert is_s_partite(g, 3) and not is_s_partite(g, 2)
+
+    def test_s_partite_edge_cases(self):
+        assert is_s_partite(make_graph(0, []), 1)
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            is_s_partite(path(3), 0)
 
     def test_slide_graph_of_bipartite_path_is_bipartite(self):
         for n, k in [(6, 2), (7, 3), (9, 3)]:
@@ -950,11 +968,13 @@ class TestIsomorphism:
         assert cert[0] == 1023 and len(cert[1]) == ts.num_edges()
         perm = list(range(1023))
         random.Random(10).shuffle(perm)
-        labels, adj = [None] * 1023, [None] * 1023
+        labels, up = [None] * 1023, [[] for _ in range(1023)]
         for i in range(1023):
             labels[perm[i]] = ts.label_masks()[i]
-            adj[perm[i]] = [perm[j] for j in ts.neighbors(i)]
-        copy = LabeledGraph("TS", ts.base, labels, adj)
+        for i, j in ts.edges():
+            a, b = sorted((perm[i], perm[j]))
+            up[a].append(b)
+        copy = LabeledGraph("TS", ts.base, labels, map(sorted, up))
         assert canonical_form(copy) == cert
 
     def test_labelings_of_all_small_graphs(self):

@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations
 from math import comb
 
@@ -395,7 +396,7 @@ class TestLabeledGraphValidation:
         base = path(3)
         labels = [0b001, 0b001]
         with pytest.raises(Exception):
-            LabeledGraph("Abstract", base, labels, [set(), set()])
+            LabeledGraph("Abstract", base, labels, [(), ()])
 
     @pytest.mark.parametrize("base,labels,message", [
         (path(3), [1 | 1 << 9, 0b10], "not a set of the base's vertices"),
@@ -410,13 +411,45 @@ class TestLabeledGraphValidation:
     def test_labels_must_be_vertex_sets_of_the_base(self, base, labels,
                                                      message):
         with pytest.raises(ValueError, match=message):
-            LabeledGraph("Abstract", base, labels, [[1], [0]])
+            LabeledGraph("Abstract", base, labels, [[1], []])
+
+    @pytest.mark.parametrize("base,labels", [
+        (path(3), ((0,), (2,))),
+        (path(3), (True, 0b100)),
+        (None, (0b001, 0b100)),
+    ], ids=["tuple", "bool", "no-base"])
+    def test_check_rejects_unchecked_labels(self, base, labels):
+        # the checker alone, on a graph that skipped the constructor
+        from tokenslide.reconf import check_labeled_graph
+
+        lg = LabeledGraph._unchecked("Abstract", base, labels, ((1,), ()))
+        with pytest.raises(ValueError,
+                           match="labels must be int masks over the base"):
+            check_labeled_graph(lg)
+
+    def test_constructor_and_unchecked_take_the_same_parameters(self):
+        assert inspect.signature(LabeledGraph) \
+            == inspect.signature(LabeledGraph._unchecked)
+        assert list(inspect.signature(LabeledGraph).parameters) \
+            == ["kind", "base", "masks", "up", "k"]
+
+    def test_constructor_keeps_the_upper_rows(self):
+        lg = LabeledGraph("Abstract", path(3), [0b001, 0b010, 0b100],
+                          [[1, 2], [2], []])
+        assert lg.label_masks() == (1, 2, 4)
+        assert lg.upper_rows() == ((1, 2), (2,), ())
+        assert [lg.neighbors(i) for i in range(3)] \
+            == [(1, 2), (0, 2), (0, 1)]
+
+    def test_constructor_rejects_a_row_that_is_not_upper(self):
+        with pytest.raises(ValueError, match="upper row 1 holds earlier"):
+            LabeledGraph("Abstract", path(2), [1, 2], [[1], [0]])
 
     def test_labels_must_be_independent_for_tsk(self):
         base = path(2)
         labels = [0b11]
         with pytest.raises(Exception):
-            LabeledGraph("TSk", base, labels, [set()], k=2)
+            LabeledGraph("TSk", base, labels, [()], k=2)
 
 
 class TestLabeledJson:
@@ -485,8 +518,8 @@ class TestBuilderInvariants:
         from tokenslide.reconf import check_labeled_graph
 
         base = make_graph(3, [])
-        lg = LabeledGraph._unchecked("Abstract", base, ((2, 1), (), ()),
-                                     masks=(1, 2, 4))
+        lg = LabeledGraph._unchecked("Abstract", base, (1, 2, 4),
+                                     ((2, 1), (), ()))
         with pytest.raises(ValueError, match="not sorted"):
             check_labeled_graph(lg)
 
@@ -500,7 +533,7 @@ class TestBuilderInvariants:
     def test_check_rejects_a_row_that_is_not_upper(self, up, message):
         from tokenslide.reconf import check_labeled_graph
 
-        lg = LabeledGraph._unchecked("Abstract", make_graph(3, []), up,
-                                     masks=(1, 2, 4))
+        lg = LabeledGraph._unchecked("Abstract", make_graph(3, []),
+                                     (1, 2, 4), up)
         with pytest.raises(ValueError, match=message):
             check_labeled_graph(lg)
