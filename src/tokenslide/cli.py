@@ -24,14 +24,14 @@ from .errors import InputError, ResourceCap
 from .geometry import (check_general_position, delaunay, flip_graph,
                        lawson_distance, triangulations)
 from .graph import (complete, complete_bipartite, complete_minus_edge, cycle,
-                    path, star)
-from .io import (CHUNK_ROWS, export_dot, graph_from_json, labeled_to_json,
-                 parse_graph6, write_graph6)
+                    members, path, star)
+from .io import (CHUNK_ROWS, _halves_formatter, export_dot, graph_from_json,
+                 graph_to_json, parse_graph6, write_graph6)
 from .props import analyze
 from .realize import (Realization, realize_complete, realize_cycle,
                       realize_path, realize_split, realize_star,
                       search_realizer)
-from .reconf import build_TS, build_TSk
+from .reconf import LabeledGraph, build_TS, build_TSk
 from .searches import SEARCH_NAMES, run_search
 
 FAMILIES = {
@@ -51,7 +51,8 @@ def _emit(obj):
 
 
 def _dumps(obj):
-    """Exactly json.dumps(obj, sort_keys=True, indent=2), faster.
+    """Exactly json.dumps(obj, sort_keys=True, indent=2), faster, where a
+    LabeledGraph lg stands for labeled_to_json(lg).
 
     With indent set, json falls back to its pure-Python encoder. Here
     arrays (lists or tuples, which json writes alike) of ints, and arrays
@@ -63,7 +64,9 @@ def _dumps(obj):
     encode_basestring_ascii, the function json.dumps quotes them with,
     and joined once. Every other scalar, and dicts with non-string keys,
     go to json.dumps. Only exact ints and strs qualify: bool and int
-    subclasses print differently, and a str subclass may too.
+    subclasses print differently, and a str subclass may too. A
+    LabeledGraph is written from its label masks and upper rows, with
+    no nested lists built (_labeled_graph).
     """
     out = []
     _encode(obj, "\n", out.append)
@@ -86,11 +89,7 @@ def _encode(obj, nl, write):
             write(_str_row(obj, nl))
         elif types <= _ARRAYS and (
                 rows := _row_texts(obj, inner)) is not None:
-            sep = "[" + inner
-            while chunk := list(islice(rows, CHUNK_ROWS)):
-                write(sep + ("," + inner).join(chunk))
-                sep = "," + inner
-            write(nl + "]")
+            _write_rows(rows, nl, write)
         else:
             sep = "["
             for x in obj:
@@ -105,8 +104,49 @@ def _encode(obj, nl, write):
             sep = ","
             _encode(obj[k], inner, write)
         write(nl + "}")
+    elif isinstance(obj, LabeledGraph):
+        _labeled_graph(obj, nl, write)
     else:
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+
+
+def _write_rows(rows, nl, write):
+    """Write the array of the row texts in rows, which start on lines
+    indented as nl plus two spaces, CHUNK_ROWS rows per write."""
+    inner = nl + "  "
+    sep = "[" + inner
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        write(sep + ("," + inner).join(chunk))
+        sep = "," + inner
+    write(nl + "]" if sep[0] == "," else "[]")
+
+
+def _labeled_graph(lg, nl, write):
+    """Write labeled_to_json(lg) as _encode would, from lg's label masks
+    and upper rows.
+
+    An edge row is one f-string on a prefix made once per node. A node
+    row joins the texts of the low and the high half of its mask, each
+    distinct half formatted once; the empty mask prints as [].
+    """
+    inner = nl + "  "
+    row = inner + "  "
+    cell = row + "  "
+    head, sep, tail = "[" + cell, "," + cell, row + "]"
+    write("{" + inner + '"base": ')
+    _encode(graph_to_json(lg.base), inner, write)
+    write("," + inner + '"edges": ')
+    _write_rows((f"{pre}{j}{tail}" for i, up in enumerate(lg.upper_rows())
+                 for pre in (f"{head}{i}{sep}",) for j in up), inner, write)
+    write("," + inner + '"kind": ')
+    _encode(lg.kind, inner, write)
+    write("," + inner + '"nodes": ')
+    fmt = _halves_formatter(lg.base.n,
+                            lambda part: sep.join(map(str, members(part))),
+                            sep)
+    _write_rows((head + text + tail if text else "[]"
+                 for text in map(fmt, lg.label_masks())), inner, write)
+    write(nl + "}")
 
 
 def _str_row(row, nl):
@@ -284,7 +324,7 @@ def _cmd_build(args):
     if args.format == "dot":
         export_dot(lab, write=sys.stdout.write)
     else:
-        _emit(labeled_to_json(lab))
+        _emit(lab)
     return 0
 
 
@@ -348,7 +388,7 @@ def _cmd_geom(args):
     if args.flip_graph or args.check_ts_iso:
         fg = flip_graph(pts)
     if args.flip_graph:
-        out["flip_graph"] = labeled_to_json(fg)
+        out["flip_graph"] = fg
     if args.delaunay:
         out["delaunay"] = delaunay(pts)
     if args.check_ts_iso:

@@ -81,6 +81,13 @@ def check_general_position(points):
     pts = _check_points(points)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
+    return _general_position_of(tuple(pts))
+
+
+@lru_cache(maxsize=1)
+def _general_position_of(pts):
+    # cached so that geom's check, crossing graph and Delaunay of one
+    # point set share the verdict, which is immutable
     for i, j, k in combinations(range(len(pts)), 3):
         if orient(pts[i], pts[j], pts[k]) == 0:
             return GeneralPosition(False, collinear=(i, j, k))

@@ -129,20 +129,20 @@ def format_label(mask, n):
     return sep.join(str(v + 1) for v in members(mask))
 
 
-def _label_formatter(n):
-    """format_label over a host with n vertices, as a function of the mask.
+def _halves_formatter(n, text_of, sep):
+    """A function of a mask over a host with n vertices: text_of(low
+    half) and text_of(high half) joined by sep, or the one not empty.
 
     The texts of the low and the high half of a mask are memoised in one
     dict per call, so a family of sets costs two lookups per set.
     """
-    sep = "" if n <= 9 else "-"
     low_bits = (1 << n // 2) - 1
     texts = {}
 
     def piece(part):
         text = texts.get(part)
         if text is None:
-            text = texts[part] = format_label(part, n)
+            text = texts[part] = text_of(part)
         return text
 
     def fmt(mask):
@@ -150,6 +150,12 @@ def _label_formatter(n):
         return a + sep + b if a and b else a or b
 
     return fmt
+
+
+def _label_formatter(n):
+    """format_label over a host with n vertices, as a function of the mask."""
+    return _halves_formatter(n, lambda part: format_label(part, n),
+                             "" if n <= 9 else "-")
 
 
 def export_dot(g, write=None):
@@ -184,7 +190,11 @@ def export_dot(g, write=None):
 
 
 def labeled_to_json(lg):
-    """LabeledGraph JSON: kind, base, node label arrays, edge index pairs."""
+    """LabeledGraph JSON: kind, base, node label arrays, edge index pairs.
+
+    The CLI prints this dict's text without building it, from the label
+    masks and upper rows (cli._labeled_graph).
+    """
     return {
         "kind": lg.kind,
         "base": graph_to_json(lg.base),

@@ -139,9 +139,9 @@ def check_labeled_graph(lg):
 
     Checks the kind, a base with a vertex count, distinct labels that
     are exact ints (a bool is not a mask) over the base's vertices, one
-    upper row per label, strictly increasing and holding only later
-    nodes, and for TSk that every label is an independent set of size k
-    of the base.
+    upper row per label, of exact ints, strictly increasing and holding
+    only later nodes, and for TSk that every label is an independent set
+    of size k of the base.
     """
     if lg.kind not in KINDS:
         raise ValueError(f"unknown kind {lg.kind!r}")
@@ -158,6 +158,11 @@ def check_labeled_graph(lg):
         raise ValueError("a label is not a set of the base's vertices")
     m = len(masks)
     for i, row in enumerate(up):
+        # type() and not isinstance(): the CLI's JSON writer prints
+        # entries as str() gives them, and str(True) is not JSON
+        if any(type(j) is not int for j in row):
+            raise ValueError(f"upper row {i} holds an entry that is not an "
+                             f"int node index")
         if any(a >= b for a, b in zip(row, row[1:])):
             raise ValueError(f"adjacency row {i} is not sorted or repeats "
                              f"a node")

@@ -544,12 +544,16 @@ class TestGeom:
                 return _f(*args)
             monkeypatch.setattr(geometry, name, counted)
         geometry._crossing_of.cache_clear()
+        geometry._general_position_of.cache_clear()
         code, _, err = run(capsys, "geom", "--points", PTS_JSON, "--check",
                            "--triangulations", "--flip-graph", "--delaunay",
                            "--check-ts-iso")
         assert code == 0, err
         assert calls == {"edge_intersection_graph": 1,
                          "_maximal_stable_sets": 1}
+        # --check, the crossing graph and Delaunay share one verdict
+        info = geometry._general_position_of.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_bad_points(self, capsys):
         assert run(capsys, "geom", "--points", "{}", "--check")[0] == 2

@@ -445,6 +445,14 @@ class TestLabeledGraphValidation:
         with pytest.raises(ValueError, match="upper row 1 holds earlier"):
             LabeledGraph("Abstract", path(2), [1, 2], [[1], [0]])
 
+    @pytest.mark.parametrize("up", [[[True], []], [[1.0], []]],
+                             ids=["bool", "float"])
+    def test_constructor_rejects_an_entry_that_is_not_an_int(self, up):
+        # each equals the int 1, but would not print as it
+        with pytest.raises(ValueError, match="upper row 0 holds an entry "
+                                             "that is not an int node index"):
+            LabeledGraph("Abstract", path(2), [1, 2], up)
+
     def test_labels_must_be_independent_for_tsk(self):
         base = path(2)
         labels = [0b11]

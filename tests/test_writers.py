@@ -1,10 +1,11 @@
 """The fast output writers print exactly what the plain ones print.
 
 cli._dumps is checked against json.dumps(obj, sort_keys=True, indent=2),
-and io.export_dot against a reference copy of the DOT writer that formats
-every label from its mask by the definition. The streamed output the CLI prints, a
-chunk at a time, is checked against the joined text, and its memory
-against the size of that text.
+with a LabeledGraph against json.dumps of its labeled_to_json dict, and
+io.export_dot against a reference copy of the DOT writer that formats
+every label from its mask by the definition. The streamed output the
+CLI prints, a chunk at a time, is checked against the joined text, and
+its memory against the size of that text.
 """
 
 import contextlib
@@ -22,19 +23,24 @@ from hypothesis import strategies as st
 from tokenslide import (
     LabeledGraph,
     build_Fk,
+    build_Lk,
     build_TS,
     build_TSk,
     build_TSk_induced,
+    complete,
     cycle,
+    flip_graph,
     make_graph,
     path,
+    star,
 )
 import tokenslide.cli
 import tokenslide.io
 from tokenslide.cli import _dumps, _emit, main
-from tokenslide.decompose import product
+from tokenslide.decompose import JoinSpec, decompose_join, product
 from tokenslide.graph import Graph
-from tokenslide.io import export_dot, format_label, write_graph6
+from tokenslide.io import (export_dot, format_label, labeled_to_json,
+                           write_graph6)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +263,32 @@ def _stdout_of(argv):
 NAMED = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
                    names=['a"b', "c\\d", 'e\\"', "plain", ""])
 
+# a graph of every kind, and the shapes the JSON writer treats apart:
+# no nodes, no edges, the empty label (which prints as []), and bases of
+# 0, 1, 9, 10 and 70 vertices, whose masks the writer formats in halves
+# of 0 and 0, 0 and 1, 4 and 5, 5 and 5, and 35 and 35 bits
+STREAMED = {
+    "TSk-C12": build_TSk(cycle(12), 4),
+    "TS-P11": build_TS(path(11)),
+    "Lk-K6": build_Lk(complete(6), 3),
+    "Fk-C7": build_Fk(cycle(7), 3),
+    "Flip": flip_graph([(0, 8), (7, 16), (16, 9), (8, 0), (5, 6), (3, 9)]),
+    "Product": product(build_TSk(path(5), 2), build_TSk(cycle(6), 2)),
+    "decompose-part": decompose_join(JoinSpec(
+        star(3), make_graph(5, [(0, 3), (3, 4), (4, 2), (2, 1), (0, 2),
+                                (1, 3)]),
+        [1, 2, 3], [0, 1], 3)).parts[3],
+    "no-nodes": build_TSk(path(3), 3),
+    "no-edges": build_TSk(make_graph(5, []), 2),
+    "empty-label": LabeledGraph("Abstract", path(2), [0, 1, 2],
+                                [[1, 2], [], []]),
+    "base0": LabeledGraph("Abstract", make_graph(0, []), [0], [[]]),
+    "base1": build_TSk(path(1), 1),
+    "base9": build_TSk(cycle(9), 3),
+    "base10": build_TSk(path(10), 3),
+    "base70": build_TSk(path(70), 2),
+}
+
 
 def _assert_same_text(got, want):
     """Fail unless got == want, naming the first differing line.
@@ -318,24 +350,68 @@ class TestStreaming:
         assert out.getvalue() == json.dumps(obj, sort_keys=True,
                                             indent=2) + "\n"
 
+    @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
+    @pytest.mark.parametrize("lg", STREAMED.values(), ids=STREAMED.keys())
+    def test_emit_prints_labeled_to_json(self, chunk, lg):
+        # alone, as build prints it, and inside a dict, as geom does
+        for value, plain in ((lg, labeled_to_json(lg)),
+                             ({"flip_graph": lg, "ts_iso": [1, True]},
+                              {"flip_graph": labeled_to_json(lg),
+                               "ts_iso": [1, True]})):
+            out = io.StringIO()
+            with _chunk_rows(chunk), contextlib.redirect_stdout(out):
+                _emit(value)
+            _assert_same_text(out.getvalue(), json.dumps(
+                plain, sort_keys=True, indent=2) + "\n")
+
+    def test_empty_label_prints_an_empty_array(self):
+        assert json.loads(_dumps(STREAMED["empty-label"]))["nodes"] \
+            == [[], [0], [1]]
+
+    @pytest.mark.parametrize("chunk", [1, 3, tokenslide.io.CHUNK_ROWS])
+    @pytest.mark.parametrize("g,k", [(path(20), 5), (NAMED, None)],
+                             ids=["P20-k5", "named-all"])
+    def test_build_json_prints_labeled_to_json(self, tmp_path, chunk, g, k):
+        graph_file = tmp_path / "g.json"
+        graph_file.write_text(json.dumps(tokenslide.io.graph_to_json(g)))
+        mode = ["--all"] if k is None else ["--k", str(k)]
+        with _chunk_rows(chunk):
+            out = _stdout_of(["build", "--json", str(graph_file), *mode])
+        lab = build_TS(g) if k is None else build_TSk(g, k)
+        _assert_same_text(out, json.dumps(labeled_to_json(lab),
+                                          sort_keys=True, indent=2) + "\n")
+
     def test_build_dot_memory_is_bounded(self):
         """Printing TS_5(P_24) as DOT holds no copy of its 1.6 MB text."""
-        argv = ["build", "--graph6", write_graph6(path(24)), "--k", "5",
-                "--format", "dot"]
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        def run_cli():
-            with contextlib.redirect_stdout(_Discard()):
-                assert main(argv) == 0
-
-        run_cli()  # caches filled on a first call do not count
-        build_peak = peak(lambda: build_TSk(path(24), 5))
         text = len(export_dot(build_TSk(path(24), 5)))
-        assert peak(run_cli) - build_peak < text / 10
+        assert _cli_peak_above_build(["--format", "dot"]) < text / 10
+
+    def test_build_json_memory_is_bounded(self):
+        """Printing TS_5(P_24) as JSON builds no nested lists of its
+        nodes and edges and holds no copy of its 3.05 MB text."""
+        text = len(_dumps(build_TSk(path(24), 5)))
+        assert _cli_peak_above_build([]) < text / 5
+
+
+def _peak(fn):
+    """The tracemalloc peak, in bytes, of calling fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cli_peak_above_build(options):
+    """The peak of build --k 5 of P_24 with options, less the peak of
+    build_TSk alone."""
+    argv = ["build", "--graph6", write_graph6(path(24)), "--k", "5",
+            *options]
+
+    def run_cli():
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0
+
+    run_cli()  # caches filled on a first call do not count
+    return _peak(run_cli) - _peak(lambda: build_TSk(path(24), 5))
