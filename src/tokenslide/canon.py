@@ -18,9 +18,9 @@ from .errors import TooLargeForIso
 
 
 def _as_adj(g):
-    """(n, neighbor tuples) of a Graph or LabeledGraph."""
-    n = g.num_nodes()
-    return n, [g.neighbors(v) for v in range(n)]
+    """(n, neighbor rows) of a Graph or LabeledGraph; the rows are the
+    graph's own, so no caller may change them."""
+    return g.num_nodes(), g.rows()
 
 
 def _refine(adj, colors):

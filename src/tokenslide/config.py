@@ -4,6 +4,13 @@ The node budget caps how many stable sets an enumeration or builder may
 produce before failing loudly with ExplosionCap. The environment variable
 TOKENSLIDE_NODE_BUDGET overrides the default for a whole process.
 
+The search budget counts the steps of the backtracking searches: one per
+stack pop of a maximum-stable-set (or clique) search, one per step
+forward or back of a colouring search. One call spends at most one
+budget per search kind. The triangle scan and the BFS 2-colouring that
+props runs first spend none of it, so clique_number never reaches it on
+a graph without a triangle, nor chromatic_number on a bipartite one.
+
 Every budget is read from this module at call time, and this module is
 the one place to set one: assign tokenslide.config.DEFAULT_SEARCH_BUDGET
 (or the node or iso budget) to change it.

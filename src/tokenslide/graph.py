@@ -72,6 +72,10 @@ class Graph:
         row = self._adj[v]
         return _BYTES[0][row] if row < 256 else members(row)
 
+    def rows(self):
+        """Every vertex's neighbours, as LabeledGraph gives them."""
+        return tuple(map(self.neighbors, range(self.n)))
+
     def degree(self, v):
         return self._adj[v].bit_count()
 

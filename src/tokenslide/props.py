@@ -8,6 +8,10 @@ Kuratowski witness is found with it alone. The clique search
 takes the nodes in a degeneracy order and runs the maximum-stable-set
 search of stable.py on the complement of each node's later neighbours,
 over local indices, so its bit masks are at most the degeneracy wide.
+Polynomial answers come first: a graph without a triangle has its clique
+number read off without that search, and one with a BFS 2-colouring its
+chromatic number without the colouring search; neither scan spends the
+search budget.
 """
 
 from __future__ import annotations
@@ -499,14 +503,30 @@ def _degeneracy_order(n, adj):
     return order
 
 
+def _has_triangle(adj):
+    """Whether some edge vw, v < w, has a common neighbour; stops at
+    the first one."""
+    for v, row in enumerate(adj):
+        seen = set(row)
+        for w in row:
+            if w > v and not seen.isdisjoint(adj[w]):
+                return True
+    return False
+
+
 def _max_clique(g, stop_at=None):
     """Largest clique size, or a size >= stop_at once one is found.
 
-    A clique is its earliest node in a degeneracy order plus a clique
-    among that node's later neighbours (Eppstein, Löffler & Strash
-    2010), found as a stable set of the complement of their subgraph.
+    Without a triangle that is 2 if there is an edge. Otherwise a clique
+    is its earliest node in a degeneracy order plus a clique among that
+    node's later neighbours (Eppstein, Löffler & Strash 2010), found as a
+    stable set of the complement of their subgraph.
     """
     n, adj = _as_adj(g)
+    if not _has_triangle(adj):
+        return 2 if any(adj) else min(n, 1)
+    if stop_at is not None and stop_at <= 3:
+        return 3
     order = _degeneracy_order(n, adj)
     rank = [0] * n
     for i, v in enumerate(order):
@@ -631,14 +651,42 @@ def _dsatur(n, adj):
     return color
 
 
+def _two_color(n, adj):
+    """Whether a BFS from each uncoloured node 2-colours the graph."""
+    side = [-1] * n
+    for s in range(n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        queue = [s]
+        for u in queue:
+            c = side[u] ^ 1
+            for w in adj[u]:
+                if side[w] < 0:
+                    side[w] = c
+                    queue.append(w)
+                elif side[w] != c:
+                    return False
+    return True
+
+
 def _chromatic(n, adj, low):
-    """Chromatic number over neighbor lists, given a clique size low."""
+    """Chromatic number over neighbor lists, given a clique size low.
+
+    With low <= 2 a BFS 2-colouring settles it, or the search starts at
+    3 colours.
+    """
     if n == 0:
         return 0
+    if low <= 2:
+        if _two_color(n, adj):
+            return low
+        low = 3
     high = max(_dsatur(n, adj)) + 1
+    order = _coloring_order(n, adj)
     budget = [config.DEFAULT_SEARCH_BUDGET]  # one for all the tries
     for s in range(low, high):
-        if _try_color(n, adj, _coloring_order(n, adj), s, budget):
+        if _try_color(n, adj, order, s, budget):
             return s
     return high
 

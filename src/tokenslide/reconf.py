@@ -34,9 +34,9 @@ class LabeledGraph:
     Every label is held as a bit mask over the base's vertices; a
     product node (A, B) is the union A | B. Labels are distinct. Each
     node stores its upper row: its later neighbours, sorted, so every
-    edge is held once, in the row of its earlier end. The whole rows
-    that neighbors and degree read, and the props and canon algorithms
-    through them, are derived from the upper rows on first use and kept.
+    edge is held once, in the row of its earlier end. The whole rows,
+    which rows() gives to neighbors, degree and the props and canon
+    algorithms, are derived from the upper rows on first use and kept.
     The constructor takes the labels as int masks and the upper rows,
     and checks them with check_labeled_graph; _unchecked takes the same
     parameters and skips the check, for the package's own builders.
@@ -68,7 +68,7 @@ class LabeledGraph:
         """Each node's later neighbours, sorted: every edge once."""
         return self._up
 
-    def _rows(self):
+    def rows(self):
         """Each node's whole neighbour row, sorted, built on first use.
 
         A transpose that needs no sort: node j collects the earlier
@@ -95,10 +95,10 @@ class LabeledGraph:
         return [(i, j) for i, row in enumerate(self._up) for j in row]
 
     def neighbors(self, i):
-        return self._rows()[i]
+        return self.rows()[i]
 
     def degree(self, i):
-        return len(self._rows()[i])
+        return len(self.rows()[i])
 
     def _label_sizes(self):
         if self.kind != "TS":

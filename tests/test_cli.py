@@ -23,6 +23,7 @@ from tokenslide import (
     cycle,
     delaunay,
     flip_graph,
+    join,
     make_graph,
     parse_graph6,
     path,
@@ -247,19 +248,35 @@ class TestAnalyze:
         witness = [tuple(e) for e in js["planar_witness"]]
         assert classify_subdivision(js["nodes"], witness) is not None
 
-    # on C_9 a budget of 2 runs out in the first clique search and one
-    # of 8 in the 2-colouring search
+    # on the wheel of C_9 and a hub, a budget of 2 runs out in the first
+    # clique search (3 steps) and one of 8 in the 3-colouring search (19
+    # steps)
     @pytest.mark.parametrize("budget,search", [(2, "stable-set"),
                                                (8, "colouring")])
     def test_search_budget(self, capsys, monkeypatch, budget, search):
         from tokenslide import config
 
+        wheel = join(cycle(9), range(9), complete(1), [0])
         monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", budget)
         code, out, err = run(capsys, "analyze", "--graph6",
-                             write_graph6(cycle(9)))
+                             write_graph6(wheel))
         assert code == 3
         assert out == ""
         assert f"resource cap: {search} search passed {budget} steps" in err
+
+    # TS_3(C_12) has no triangle and is bipartite: the triangle scan and
+    # the 2-colouring settle its clique and chromatic numbers without the
+    # searches, so a budget of 5, which its clique search would pass
+    # (382 steps), changes nothing
+    def test_triangle_free_analyze_spends_no_budget(self, capsys,
+                                                    monkeypatch):
+        from tokenslide import config
+
+        argv = ("analyze", "--graph6", write_graph6(cycle(12)), "--ts", "3")
+        want = run(capsys, *argv)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 5)
+        assert run(capsys, *argv) == want
+        assert want[0] == 0 and want[2] == ""
 
     # stdout SHA-256 of these commands as printed with networkx's
     # one-edge-at-a-time witness search; a change to the witness or to

@@ -50,7 +50,9 @@ from tokenslide import (
 )
 
 from tokenslide.canon import _as_adj
-from tokenslide.props import _dsatur, _kuratowski_edges, _planar
+from tokenslide.props import (_coloring_order, _dsatur, _has_triangle,
+                              _kuratowski_edges, _planar, _try_color,
+                              _two_color)
 
 from conftest import (
     brute_cliques,
@@ -265,28 +267,69 @@ class TestSearchBudget:
             is_s_partite(cycle(9), 2)
 
     # One call spends at most one budget per search kind. clique_number
-    # of TS_3(C_12) runs local searches of at most 5 steps each, 382 in
-    # all. chromatic_number of the Groetzsch graph tries 2 and then 3
-    # colours, 174 steps in all, and neither try takes 155.
+    # of TS_3 of C_12 with the chord 02 runs local searches of at most 5
+    # steps each, 245 in all. chromatic_number of the Groetzsch graph
+    # joined to one more vertex tries 3 and then 4 colours, 178 steps in
+    # all, and neither try takes more than 157.
     def test_local_clique_searches_share_one_budget(self, monkeypatch):
         from tokenslide import config
 
-        g = build_TSk(cycle(12), 3)
+        g = build_TSk(make_graph(12, [(0, 2)] + list(cycle(12).edges())), 3)
         monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 5)
         with pytest.raises(TooLargeForSearch):
             clique_number(g)
-        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 382)
-        assert clique_number(g) == 2
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 244)
+        with pytest.raises(TooLargeForSearch):
+            clique_number(g)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 245)
+        assert clique_number(g) == 3
 
     def test_colouring_tries_share_one_budget(self, monkeypatch):
         from tokenslide import config
 
-        g = make_graph(11, nx.mycielski_graph(4).edges())
-        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 155)
+        g = join(make_graph(11, nx.mycielski_graph(4).edges()), range(11),
+                 complete(1), [0])
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 157)
         with pytest.raises(TooLargeForSearch):
             chromatic_number(g)
-        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 174)
-        assert chromatic_number(g) == 4
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 177)
+        with pytest.raises(TooLargeForSearch):
+            chromatic_number(g)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 178)
+        assert chromatic_number(g) == 5
+
+    # TS_3(C_12) has no triangle and is bipartite, so neither its clique
+    # number nor its chromatic number spends the budget: the clique
+    # search that the triangle scan skips takes 382 steps
+    def test_triangle_free_spends_no_budget(self, monkeypatch):
+        from tokenslide import config
+
+        g = build_TSk(cycle(12), 3)
+        monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 5)
+        assert clique_number(g) == 2
+        assert chromatic_number(g) == 2
+        assert not has_clique(g, 3)
+        assert girth(g) == 4
+
+
+class TestPolynomialScans:
+    # the triangle scan and the BFS 2-colouring against a triple check
+    # and the 2-colour search, on the slide graphs of every graph on up
+    # to 7 vertices
+    def test_slide_graphs_of_all_small_graphs(self):
+        seen = set()
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                for ts in [build_TSk(g, k) for k in (1, 2, 3)] + [build_TS(g)]:
+                    m, adj = _as_adj(ts)
+                    masks = ts.adjacency_masks()
+                    triangle = any(masks[u] & masks[v] for u, v in ts.edges())
+                    assert _has_triangle(adj) == triangle
+                    two = m == 0 or _try_color(m, adj,
+                                               _coloring_order(m, adj), 2)
+                    assert _two_color(m, adj) == two
+                    seen.add((triangle, two))
+        assert seen == {(False, False), (False, True), (True, False)}
 
 
 class TestGirth:
