@@ -7,9 +7,11 @@ TOKENSLIDE_NODE_BUDGET overrides the default for a whole process.
 The search budget counts the steps of the backtracking searches: one per
 stack pop of a maximum-stable-set (or clique) search, one per step
 forward or back of a colouring search. One call spends at most one
-budget per search kind. The triangle scan and the BFS 2-colouring that
-props runs first spend none of it, so clique_number never reaches it on
-a graph without a triangle, nor chromatic_number on a bipartite one.
+budget per search kind. The triangle scan and the BFS forest that props
+runs first spend none of it. The forest that gives the components also
+2-colours a bipartite graph, so neither chromatic_number nor is_s_partite
+reaches the budget on one, nor clique_number on a graph without a
+triangle; girth never does.
 
 Every budget is read from this module at call time, and this module is
 the one place to set one: assign tokenslide.config.DEFAULT_SEARCH_BUDGET

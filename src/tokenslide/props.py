@@ -8,9 +8,11 @@ Kuratowski witness is found with it alone. The clique search
 takes the nodes in a degeneracy order and runs the maximum-stable-set
 search of stable.py on the complement of each node's later neighbours,
 over local indices, so its bit masks are at most the degeneracy wide.
-Polynomial answers come first: a graph without a triangle has its clique
-number read off without that search, and one with a BFS 2-colouring its
-chromatic number without the colouring search; neither scan spends the
+Polynomial answers come first: a triangle scan settles the clique number
+of a triangle-free graph without that search, and the girth of a graph
+with a triangle without a BFS. The BFS forest that gives the components
+2-colours a bipartite graph, which settles its chromatic number and
+s-partiteness without the colouring search. Neither scan spends the
 search budget.
 """
 
@@ -330,23 +332,33 @@ def is_planar(g):
 # connectivity
 
 
+def _forest(n, adj):
+    """BFS trees from each node not yet reached, in index order, and
+    whether the BFS depths 2-colour the graph: every edge joins an even
+    depth to an odd one."""
+    side = [-1] * n  # parity of each node's depth
+    trees = []
+    two = True
+    for s in range(n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        tree = [s]
+        for u in tree:
+            c = side[u] ^ 1
+            for w in adj[u]:
+                if side[w] < 0:
+                    side[w] = c
+                    tree.append(w)
+                elif side[w] != c:
+                    two = False
+        trees.append(tree)
+    return trees, two
+
+
 def components(g):
     """Connected components as sorted tuples, ordered by smallest node."""
-    n, adj = _as_adj(g)
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for u in comp:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
+    return [tuple(sorted(t)) for t in _forest(*_as_adj(g))[0]]
 
 
 def is_connected(g):
@@ -438,15 +450,15 @@ def girth(g):
     the first 4-cycle instead of running a BFS from every node.
     """
     n, adj = _as_adj(g)
-    return _girth(n, adj, 3 if has_clique(g, 3) else 4)
+    return 3 if _has_triangle(adj) else _girth(n, adj)
 
 
-def _girth(n, adj, low):
-    """Girth over neighbor lists, done once a cycle of length low, a
-    lower bound on the girth, turns up."""
+def _girth(n, adj):
+    """Girth of a triangle-free graph over neighbor lists, done once a
+    4-cycle turns up."""
     best = None
     for s in range(n):
-        if best == low:
+        if best == 4:
             break
         dist = [-1] * n
         parent = [-1] * n
@@ -621,13 +633,16 @@ def _coloring_order(n, adj):
 
 
 def is_s_partite(g, s):
-    """Can the nodes be split into s independent parts (s-colorable)?"""
+    """Can the nodes be split into s independent parts (s-colorable)?
+    Only a non-bipartite graph with s >= 3 reaches the colouring search."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     n, adj = _as_adj(g)
-    if n == 0:
+    if s == 1:
+        return not any(adj)
+    if _forest(n, adj)[1]:
         return True
-    return _try_color(n, adj, _coloring_order(n, adj), s)
+    return s >= 3 and _try_color(n, adj, _coloring_order(n, adj), s)
 
 
 def _dsatur(n, adj):
@@ -651,37 +666,16 @@ def _dsatur(n, adj):
     return color
 
 
-def _two_color(n, adj):
-    """Whether a BFS from each uncoloured node 2-colours the graph."""
-    side = [-1] * n
-    for s in range(n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        queue = [s]
-        for u in queue:
-            c = side[u] ^ 1
-            for w in adj[u]:
-                if side[w] < 0:
-                    side[w] = c
-                    queue.append(w)
-                elif side[w] != c:
-                    return False
-    return True
+def _chromatic(n, adj, low, two):
+    """Chromatic number over neighbor lists, given a clique size low and
+    whether the BFS forest 2-colours the graph.
 
-
-def _chromatic(n, adj, low):
-    """Chromatic number over neighbor lists, given a clique size low.
-
-    With low <= 2 a BFS 2-colouring settles it, or the search starts at
-    3 colours.
+    A 2-colouring settles it at low; without one the search starts at
+    3 colours or more.
     """
-    if n == 0:
-        return 0
-    if low <= 2:
-        if _two_color(n, adj):
-            return low
-        low = 3
+    if two:
+        return low
+    low = max(low, 3)
     high = max(_dsatur(n, adj)) + 1
     order = _coloring_order(n, adj)
     budget = [config.DEFAULT_SEARCH_BUDGET]  # one for all the tries
@@ -693,7 +687,8 @@ def _chromatic(n, adj, low):
 
 def chromatic_number(g):
     n, adj = _as_adj(g)
-    return _chromatic(n, adj, clique_number(g))
+    low = clique_number(g)
+    return _chromatic(n, adj, low, low <= 2 and _forest(n, adj)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -739,19 +734,19 @@ class PropertyReport:
 def analyze(g):
     n, adj = _as_adj(g)
     planar, witness = is_planar(g)
-    component_count = len(components(g))
-    connected = component_count <= 1
+    trees, two = _forest(n, adj)
+    connected = len(trees) <= 1
     clique = clique_number(g)
     even = components_eulerian(g)
     return PropertyReport(
         nodes=n,
         edges=sum(map(len, adj)) // 2,
         connected=connected,
-        component_count=component_count,
+        component_count=len(trees),
         diameter=diameter(g),
-        chromatic=_chromatic(n, adj, clique),
+        chromatic=_chromatic(n, adj, clique, two),
         clique=clique,
-        girth=3 if clique >= 3 else _girth(n, adj, 4),
+        girth=3 if clique >= 3 else _girth(n, adj),
         planar=planar,
         planar_witness=witness,
         eulerian=even and connected,

@@ -50,9 +50,9 @@ from tokenslide import (
 )
 
 from tokenslide.canon import _as_adj
-from tokenslide.props import (_coloring_order, _dsatur, _has_triangle,
-                              _kuratowski_edges, _planar, _try_color,
-                              _two_color)
+from tokenslide.props import (_coloring_order, _dsatur, _forest,
+                              _has_triangle, _kuratowski_edges, _planar,
+                              _try_color)
 
 from conftest import (
     brute_cliques,
@@ -259,12 +259,14 @@ class TestSearchBudget:
         with pytest.raises(TooLargeForSearch):
             alpha(cycle(9))
 
+    # C_9 is odd, so 2 colours are ruled out without a search; 3 colours
+    # need one
     def test_colouring_search(self, monkeypatch):
         from tokenslide import config
 
         monkeypatch.setattr(config, "DEFAULT_SEARCH_BUDGET", 2)
         with pytest.raises(TooLargeForSearch):
-            is_s_partite(cycle(9), 2)
+            is_s_partite(cycle(9), 3)
 
     # One call spends at most one budget per search kind. clique_number
     # of TS_3 of C_12 with the chord 02 runs local searches of at most 5
@@ -299,8 +301,9 @@ class TestSearchBudget:
         assert chromatic_number(g) == 5
 
     # TS_3(C_12) has no triangle and is bipartite, so neither its clique
-    # number nor its chromatic number spends the budget: the clique
-    # search that the triangle scan skips takes 382 steps
+    # number nor its chromatic number spends the budget, nor is_s_partite
+    # for any s: the clique search that the triangle scan skips takes 382
+    # steps, and the 2-colour search that the BFS forest skips 112
     def test_triangle_free_spends_no_budget(self, monkeypatch):
         from tokenslide import config
 
@@ -310,12 +313,14 @@ class TestSearchBudget:
         assert chromatic_number(g) == 2
         assert not has_clique(g, 3)
         assert girth(g) == 4
+        assert [is_s_partite(g, s) for s in (1, 2, 3)] == [False, True, True]
 
 
 class TestPolynomialScans:
     # the triangle scan and the BFS 2-colouring against a triple check
-    # and the 2-colour search, on the slide graphs of every graph on up
-    # to 7 vertices
+    # and the 2-colour search, and is_s_partite, which answers from the
+    # 2-colouring where it can, against chromatic_number, on the slide
+    # graphs of every graph on up to 7 vertices
     def test_slide_graphs_of_all_small_graphs(self):
         seen = set()
         for n in range(1, 8):
@@ -327,7 +332,10 @@ class TestPolynomialScans:
                     assert _has_triangle(adj) == triangle
                     two = m == 0 or _try_color(m, adj,
                                                _coloring_order(m, adj), 2)
-                    assert _two_color(m, adj) == two
+                    assert _forest(m, adj)[1] == two
+                    chi = chromatic_number(ts)
+                    assert [is_s_partite(ts, s) for s in range(1, 5)] == \
+                        [chi <= s for s in range(1, 5)]
                     seen.add((triangle, two))
         assert seen == {(False, False), (False, True), (True, False)}
 
@@ -379,20 +387,21 @@ class TestGirth:
                                    complete(4)],
                              ids=["TS3-P8", "C7", "TS2-C9", "P5", "K4"])
     def test_triangle_free_search_stops_at_four(self, monkeypatch, g):
-        # a triangle-free graph has girth at least 4, and the search is
-        # told so rather than looking for a triangle from every node
+        # a triangle gives girth 3 without the search; a triangle-free
+        # graph has girth at least 4, and the search stops at the first
+        # 4-cycle rather than looking for a triangle from every node
         import tokenslide.props
 
-        lows = []
+        calls = []
         real = tokenslide.props._girth
 
-        def spy(n, adj, low):
-            lows.append(low)
-            return real(n, adj, low)
+        def spy(n, adj):
+            calls.append(n)
+            return real(n, adj)
 
         monkeypatch.setattr(tokenslide.props, "_girth", spy)
         ours = girth(g)
-        assert lows == [3 if has_clique(g, 3) else 4]
+        assert calls == ([] if has_clique(g, 3) else [g.num_nodes()])
         nxg = nx.Graph(g.edges())
         nxg.add_nodes_from(range(g.num_nodes()))
         want = nx.girth(nxg)
@@ -1072,15 +1081,15 @@ class TestAnalyze:
     def test_clique_and_components_computed_once(self, monkeypatch):
         from tokenslide import props
 
-        calls = {"clique_number": 0, "components": 0}
+        calls = {"clique_number": 0, "_forest": 0}
         for name in calls:
-            def counting(g, _name=name, _real=getattr(props, name)):
+            def counting(*args, _name=name, _real=getattr(props, name)):
                 calls[_name] += 1
-                return _real(g)
+                return _real(*args)
 
             monkeypatch.setattr(props, name, counting)
         analyze(build_TSk(path(10), 2))
-        assert calls == {"clique_number": 1, "components": 1}
+        assert calls == {"clique_number": 1, "_forest": 1}
 
     def test_invariants(self):
         for g in [complete(5), path(4), cycle(6),
