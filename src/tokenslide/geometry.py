@@ -115,18 +115,21 @@ def segments_intersect(a, b, c, d):
     for p, q in ((a, b), (c, d)):
         if tuple(p) == tuple(q):
             raise DegenerateSegment(f"segment {p}-{q} has zero length")
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    return _cross((a, b, c, d), (0, 1), (2, 3))
 
 
 def _cross(pts, s, t):
-    """Point-index segments s and t have four distinct ends and cross."""
+    """Point-index segments s and t have four distinct ends and cross.
+
+    No zero-length check: two equal points of a general-position set
+    would make a collinear triple with any third point.
+    """
     (a, b), (c, d) = s, t
-    return len({a, b, c, d}) == 4 and segments_intersect(
-        pts[a], pts[b], pts[c], pts[d])
+    if len({a, b, c, d}) < 4:
+        return False
+    a, b, c, d = pts[a], pts[b], pts[c], pts[d]
+    return (orient(a, b, c) * orient(a, b, d) < 0
+            and orient(c, d, a) * orient(c, d, b) < 0)
 
 
 @dataclass(frozen=True)
@@ -248,67 +251,42 @@ def flip_graph(points):
 # Delaunay and Lawson flipping
 
 
-def _faces(t_set, pts):
-    """Triangles of a triangulation: triples with all sides present and
-    no other point strictly inside."""
-    present = set(t_set)
-    n = len(pts)
-    faces = []
-    for a, b, c in combinations(range(n), 3):
-        if ((a, b) not in present or (b, c) not in present
-                or (a, c) not in present):
-            continue
-        inside = False
-        for d in range(n):
-            if d in (a, b, c):
-                continue
-            o1 = orient(pts[a], pts[b], pts[d])
-            o2 = orient(pts[b], pts[c], pts[d])
-            o3 = orient(pts[c], pts[a], pts[d])
-            if o1 == o2 == o3:
-                inside = True
-                break
-        if not inside:
-            faces.append((a, b, c))
-    return faces
-
-
-def _edge_face_map(faces):
-    ef = {}
-    for f in faces:
-        a, b, c = f
-        for e in ((a, b), (b, c), (a, c)):
-            ef.setdefault(e, []).append(f)
-    return ef
-
-
 def _lawson(t_set, pts):
-    """Flip lowest illegal diagonal until Delaunay; returns (set, count)."""
+    """Flip the lowest illegal segment until none is left; returns
+    (set, count).
+
+    Segment pq flips to its partner rs: the one segment between common
+    neighbours r, s of p and q that crosses pq and no other segment, so
+    pqr and pqs are faces of a convex quadrilateral. pq is illegal when s
+    lies inside the circle through p, q, r. A hull side or the diagonal of
+    a non-convex quadrilateral has no partner and is legal.
+    """
     t = set(t_set)
+    nbrs = [set() for _ in pts]
+    for a, b in t:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     max_flips = 4 * len(pts) ** 4 + 16
     flips = 0
     while True:
-        faces = _faces(sorted(t), pts)
-        ef = _edge_face_map(faces)
-        flip_edge = None
-        for e in sorted(ef):
-            fs = ef[e]
-            if len(fs) != 2:
-                continue
-            p, q = e
-            r = next(v for v in fs[0] if v not in e)
-            s = next(v for v in fs[1] if v not in e)
-            if in_circle(pts[p], pts[q], pts[r], pts[s]) > 0:
-                flip_edge = (e, r, s)
+        for p, q in sorted(t):
+            partner = next(
+                ((r, s) for r, s in combinations(sorted(nbrs[p] & nbrs[q]), 2)
+                 if _cross(pts, (p, q), (r, s))
+                 and not any(_cross(pts, (r, s), u) for u in t
+                             if u != (p, q))), None)
+            if partner and in_circle(pts[p], pts[q], pts[partner[0]],
+                                     pts[partner[1]]) > 0:
                 break
-        if flip_edge is None:
+        else:
             return t, flips
-        (p, q), r, s = flip_edge
-        t.discard((p, q))
-        new = (min(r, s), max(r, s))
-        if any(_cross(pts, seg, new) for seg in t):
-            raise RuntimeError("flip produced a crossing segment")
-        t.add(new)
+        r, s = partner
+        t.remove((p, q))
+        t.add((r, s))
+        nbrs[p].remove(q)
+        nbrs[q].remove(p)
+        nbrs[r].add(s)
+        nbrs[s].add(r)
         flips += 1
         if flips > max_flips:
             raise RuntimeError("Lawson flipping exceeded the flip budget")

@@ -82,6 +82,32 @@ def greedy_triangulation(pts, order):
     return kept
 
 
+def reference_lawson(t, pts):
+    """Lawson from the definition: faces are triples with all three sides
+    present and no point inside, and each step flips the lowest segment
+    that has two faces and a positive in-circle test."""
+    t = set(t)
+    flips = 0
+    while True:
+        faces = [f for f in combinations(range(len(pts)), 3)
+                 if {f[:2], f[1:], f[::2]} <= t and not any(
+                     orient(pts[f[0]], pts[f[1]], pts[x])
+                     == orient(pts[f[1]], pts[f[2]], pts[x])
+                     == orient(pts[f[2]], pts[f[0]], pts[x])
+                     for x in range(len(pts)) if x not in f)]
+        for e in sorted(t):
+            opposite = [v for f in faces if set(e) < set(f)
+                        for v in f if v not in e]
+            if len(opposite) == 2 and in_circle(
+                    *(pts[v] for v in e + tuple(opposite))) > 0:
+                t.remove(e)
+                t.add(tuple(sorted(opposite)))
+                flips += 1
+                break
+        else:
+            return t, flips
+
+
 class TestPredicates:
     @given(point, point, point)
     @settings(max_examples=120, deadline=None)
@@ -138,6 +164,16 @@ class TestPredicates:
         r = segments_intersect(a, b, c, d)
         assert segments_intersect(c, d, a, b) == r
         assert segments_intersect(b, a, d, c) == r
+
+    def test_cross_is_four_distinct_ends_and_segments_intersect(self, rng):
+        for _ in range(6):
+            pts = random_point_set(rng, rng.randint(4, 8))
+            segs = list(combinations(range(len(pts)), 2))
+            for s in segs:
+                for t in segs:
+                    assert geometry._cross(pts, s, t) == (
+                        len(set(s + t)) == 4 and segments_intersect(
+                            *(pts[v] for v in s + t)))
 
 
 class TestGeneralPosition:
@@ -419,6 +455,14 @@ class TestLawson:
             for i, t in enumerate(ts):
                 assert lawson_distance(list(t), pts) >= \
                     nx.shortest_path_length(nxg, i, di)
+
+    def test_matches_reference_lawson(self, rng):
+        # end state and flip count on every triangulation, so the scan
+        # order and the flip rule are both pinned
+        for n in (4, 5, 6, 7, 8) * 8:
+            pts = random_point_set(rng, n)
+            for t in triangulations(pts):
+                assert geometry._lawson(t, pts) == reference_lawson(t, pts)
 
     def test_validation(self):
         good = list(triangulations(PTS)[0])
