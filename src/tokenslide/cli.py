@@ -24,8 +24,8 @@ from .errors import InputError, ResourceCap
 from .geometry import (check_general_position, delaunay, flip_graph,
                        lawson_distance, triangulations)
 from .graph import (complete, complete_bipartite, complete_minus_edge, cycle,
-                    members, path, star)
-from .io import (CHUNK_ROWS, _halves_formatter, export_dot, graph_from_json,
+                    path, star)
+from .io import (CHUNK_ROWS, _label_tables, export_dot, graph_from_json,
                  graph_to_json, parse_graph6, write_graph6)
 from .props import analyze
 from .realize import (Realization, realize_complete, realize_cycle,
@@ -126,8 +126,8 @@ def _labeled_graph(lg, nl, write):
     and upper rows.
 
     An edge row is one f-string on a prefix made once per node. A node
-    row joins the texts of the low and the high half of its mask, each
-    distinct half formatted once; the empty mask prints as [].
+    row joins its mask's half texts from io._label_tables, and the empty
+    mask prints as [].
     """
     inner = nl + "  "
     row = inner + "  "
@@ -141,11 +141,10 @@ def _labeled_graph(lg, nl, write):
     write("," + inner + '"kind": ')
     _encode(lg.kind, inner, write)
     write("," + inner + '"nodes": ')
-    fmt = _halves_formatter(lg.base.n,
-                            lambda part: sep.join(map(str, members(part))),
-                            sep)
-    _write_rows((head + text + tail if text else "[]"
-                 for text in map(fmt, lg.label_masks())), inner, write)
+    bare, led, low, high = _label_tables(lg.base.n, 0, sep)
+    _write_rows((f"{head}{bare[m & low]}{led[m & high]}{tail}" if m & low
+                 else f"{head}{bare[m]}{tail}" if m else "[]"
+                 for m in lg.label_masks()), inner, write)
     write(nl + "}")
 
 

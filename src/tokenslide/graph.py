@@ -44,6 +44,25 @@ def members(mask):
     return out + tuple(rest)
 
 
+class _Prefix(dict):
+    """A value per mask, made on first use: table[0] is empty, and
+    table[m] is add(table[m without its top bit], top bit's index). A
+    hit is one dict lookup in C; a miss adds one member to a value that
+    is itself looked up or made the same way.
+    """
+
+    __slots__ = ("_add",)
+
+    def __init__(self, empty, add):
+        super().__init__(((0, empty),))
+        self._add = add
+
+    def __missing__(self, mask):
+        top = mask.bit_length() - 1
+        value = self[mask] = self._add(self[mask ^ 1 << top], top)
+        return value
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 

@@ -6,7 +6,9 @@ sorted lexicographically.
 
 The DOT writer, like the CLI's JSON writer, formats its output
 CHUNK_ROWS lines (or JSON rows) at a time and hands each chunk to a
-write callable, so printing a graph never holds its whole text.
+write callable, so printing a graph never holds its whole text. Both
+read set labels from _label_tables, which formats each distinct low and
+high half of the label masks once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import MalformedGraph6, NExceedsWidth
-from .graph import WIDTH_MAX, Graph, make_graph, members
+from .graph import WIDTH_MAX, Graph, _Prefix, make_graph, members
 
 # lines (DOT) or list rows (JSON) formatted per write call
 CHUNK_ROWS = 4096
@@ -129,33 +131,30 @@ def format_label(mask, n):
     return sep.join(str(v + 1) for v in members(mask))
 
 
-def _halves_formatter(n, text_of, sep):
-    """A function of a mask over a host with n vertices: text_of(low
-    half) and text_of(high half) joined by sep, or the one not empty.
+def _label_tables(n, first=1, sep=None):
+    """Two text tables of the masks over a host with n vertices, and the
+    masks of the host's low and high half.
 
-    The texts of the low and the high half of a mask are memoised in one
-    dict per call, so a family of sets costs two lookups per set.
+    bare[m] joins the members of m, counted from first, with sep
+    (format_label's separator by default), and led[m] puts sep before
+    each; both are _Prefix tables, made a member at a time on first use.
+    A label m reads bare[m & low] + led[m & high] when its low half is
+    not empty, else bare[m]: at most three lookups per set, in tables
+    that hold only the distinct halves.
     """
-    low_bits = (1 << n // 2) - 1
-    texts = {}
-
-    def piece(part):
-        text = texts.get(part)
-        if text is None:
-            text = texts[part] = text_of(part)
-        return text
-
-    def fmt(mask):
-        a, b = piece(mask & low_bits), piece(mask & ~low_bits)
-        return a + sep + b if a and b else a or b
-
-    return fmt
+    if sep is None:
+        sep = "" if n <= 9 else "-"
+    bare = _Prefix("", lambda text, v: f"{text}{sep}{v + first}" if text
+                   else str(v + first))
+    led = _Prefix("", lambda text, v: f"{text}{sep}{v + first}")
+    low = (1 << n // 2) - 1
+    return bare, led, low, ~low
 
 
 def _label_formatter(n):
     """format_label over a host with n vertices, as a function of the mask."""
-    return _halves_formatter(n, lambda part: format_label(part, n),
-                             "" if n <= 9 else "-")
+    bare, led, low, high = _label_tables(n)
+    return lambda m: bare[m & low] + led[m & high] if m & low else bare[m]
 
 
 def export_dot(g, write=None):
@@ -178,10 +177,13 @@ def export_dot(g, write=None):
                  for v, name in enumerate(names))
         edges = (f"  v{u} -- v{v};\n" for u, v in g.edges())
     else:
-        nodes = (f'  n{i} [label="{text}"];\n' for i, text in
-                 enumerate(map(_label_formatter(g.base.n), g.label_masks())))
-        edges = (f"  n{i} -- n{j};\n"
-                 for i, row in enumerate(g.upper_rows()) for j in row)
+        # the tables live in the generator, and go when the nodes are done
+        nodes = (f'  n{i} [label="{bare[m & low]}{led[m & high]}"];\n'
+                 if m & low else f'  n{i} [label="{bare[m]}"];\n'
+                 for bare, led, low, high in (_label_tables(g.base.n),)
+                 for i, m in enumerate(g.label_masks()))
+        edges = (f"{pre}{j};\n" for i, row in enumerate(g.upper_rows())
+                 for pre in (f"  n{i} -- n",) for j in row)
     write("graph G {\n")
     for lines in (nodes, edges):
         while chunk := "".join(islice(lines, CHUNK_ROWS)):

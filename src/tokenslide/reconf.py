@@ -9,8 +9,10 @@ the base graph: their nodes are ordered by sorted member tuples, and a
 token that slides from u to a higher vertex v gives a set whose sorted
 tuple is larger, first at u's place, so _slide_edges probes only the
 slides upward and finds every edge once, from its earlier end, with
-half the lookups of probing both ways. L_k (and geometry's flip graph) swap
-one element for any other: _swap_edges groups the nodes by their shared
+half the lookups of probing both ways. It reads those slides from a
+table per half of the mask, highest member first, so every row comes
+out sorted with no sort. L_k (and geometry's flip graph) swap one
+element for any other: _swap_edges groups the nodes by their shared
 (k-1)-subsets, k dictionary operations per node.
 """
 
@@ -21,7 +23,7 @@ from math import comb
 
 from .config import node_budget
 from .errors import ExplosionCap, IndexOutOfRange
-from .graph import _mask_of, make_graph, members
+from .graph import _Prefix, _mask_of, make_graph, members
 from .stable import (_enumerate_stable_masks, all_independent_sets,
                      cliques_of_size, independent_sets_of_size)
 
@@ -100,17 +102,11 @@ class LabeledGraph:
     def degree(self, i):
         return len(self.rows()[i])
 
-    def _label_sizes(self):
+    def layer_sizes(self):
+        """Node count per label size (TS graphs only)."""
         if self.kind != "TS":
             raise ValueError("not a layered graph")
-        return [m.bit_count() for m in self._masks]
-
-    def layer(self, k):
-        """Node indices of the size-k layer (TS graphs only)."""
-        return tuple(i for i, s in enumerate(self._label_sizes()) if s == k)
-
-    def layer_sizes(self):
-        return dict(Counter(self._label_sizes()))
+        return dict(Counter(m.bit_count() for m in self._masks))
 
     def adjacency_masks(self):
         """Neighbor bit masks over node indices (for property algorithms)."""
@@ -189,22 +185,32 @@ def _slide_edges(g, masks):
     size, so a flip that also clears v gives a mask two tokens short,
     which the index cannot hold. They must also be ordered by sorted
     member tuples within each size, so a slide to a higher v leads to a
-    later node and only those slides are probed.
+    later node and only those slides are probed. A slide of a higher u,
+    or of the same u to a lower v, leads to an earlier node (the least
+    vertex the two targets do not share is in it), so the flips of each
+    half of a mask are tabled highest u first, and with the high half
+    probed first every row comes out sorted.
     """
     index = {m: i for i, m in enumerate(masks)}.get
-    # ups[u]: the bits of u and one higher neighbour of u, one int each
-    ups = [[1 << u | 1 << v for v in g.neighbors(u) if v > u]
+    # ups[u]: the bits of u and one higher neighbour v of u, v ascending
+    ups = [tuple(1 << u | 1 << v for v in g.neighbors(u) if v > u)
            for u in range(g.n)]
+    flips = _Prefix((), lambda below, u: ups[u] + below)
+    low = (1 << g.n // 2) - 1
+    high = ~low
     adj = []
     for m in masks:
         row = []
-        for u in members(m):
-            for f in ups[u]:
-                j = index(m ^ f)
-                if j is not None:
-                    row.append(j)
-        row.sort()
+        for f in flips[m & high]:
+            j = index(m ^ f)
+            if j is not None:
+                row.append(j)
+        for f in flips[m & low]:
+            j = index(m ^ f)
+            if j is not None:
+                row.append(j)
         adj.append(tuple(row))
+    del flips, index  # so the tuple below can reuse their memory
     return tuple(adj)
 
 

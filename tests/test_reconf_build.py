@@ -1,4 +1,5 @@
 import inspect
+import random
 from itertools import combinations
 from math import comb
 
@@ -35,12 +36,14 @@ from tokenslide import (
 from tokenslide.graph import members
 
 from conftest import (
+    brute_all_stable,
     brute_cliques,
     brute_slide_edges,
     brute_stable_sets,
     edge_set,
     example_five_vertex,
     graphs,
+    label_set,
     labelled_edges,
     labelled_nodes,
     to_networkx,
@@ -128,9 +131,8 @@ class TestBuildTS:
         g = path(5)
         ts = build_TS(g)
         for k in range(1, alpha(g) + 1):
-            layer = ts.layer(k)
-            sub_labels = {frozenset(members(ts.label_masks()[i]))
-                          for i in layer}
+            sub_labels = {frozenset(members(m)) for m in ts.label_masks()
+                          if m.bit_count() == k}
             assert sub_labels == labelled_nodes(build_TSk(g, k))
 
     def test_no_cross_size_edges(self):
@@ -154,13 +156,11 @@ class TestBuildTS:
         assert list(sizes) == sorted(families)
         assert sizes == {k: len(sets) for k, sets in families.items()}
         for k, sets in families.items():
-            assert tuple(members(ts.label_masks()[i]) for i in ts.layer(k)) \
-                == tuple(map(members, sets))
+            assert tuple(m for m in ts.label_masks()
+                         if m.bit_count() == k) == sets
 
     def test_layers_only_of_ts(self):
         ts = build_TSk(path(5), 2)
-        with pytest.raises(ValueError):
-            ts.layer(2)
         with pytest.raises(ValueError):
             ts.layer_sizes()
 
@@ -296,6 +296,63 @@ class TestBuildFk:
         monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", str(10 ** 6))
         with pytest.raises(ExplosionCap):
             build_Fk(complete(28), 14)
+
+
+def _slide_rule_rows(lg):
+    """Upper rows from the slide rule alone: node j > i is in row i iff
+    labels i and j differ by one token moved along an edge of the base."""
+    sets = [label_set(lg, m) for m in lg.label_masks()]
+    where = {s: j for j, s in enumerate(sets)}
+    edges = edge_set(lg.base)
+    rows = []
+    for i, s in enumerate(sets):
+        found = {where.get(s ^ {a, b}) for a, b in edges
+                 if (a in s) != (b in s)}
+        rows.append(tuple(sorted(j for j in found
+                                 if j is not None and j > i)))
+    return tuple(rows)
+
+
+def _random_host(n, seed):
+    rnd = random.Random(seed)
+    p = rnd.uniform(0.25, 0.5)
+    return make_graph(n, [e for e in combinations(range(n), 2)
+                          if rnd.random() < p])
+
+
+# hosts of odd size, whose high half (the bits from n // 2 up) is one
+# vertex larger than the low half, and of 9 to 13 vertices; two past 64
+# vertices, where a mask spans more than one machine word
+HALF_HOSTS = [(f"G{n}-{seed}", _random_host(n, seed))
+              for n in (5, 7, 9, 10, 11, 12, 13, 15) for seed in (1, 2)]
+HALF_HOSTS += [("P70", path(70)), ("C67", cycle(67))]
+
+
+class TestSlideRowsAcrossTheHalves:
+    """Every slide builder's upper rows are the slide rule's, in order,
+    on hosts where the half split of _slide_edges matters."""
+
+    def check(self, lg, family):
+        from tokenslide.reconf import check_labeled_graph
+
+        check_labeled_graph(lg)
+        assert labelled_nodes(lg) == family
+        assert lg.upper_rows() == _slide_rule_rows(lg)
+
+    @pytest.mark.parametrize("name,g", HALF_HOSTS,
+                             ids=[name for name, _ in HALF_HOSTS])
+    def test_builders_follow_the_slide_rule(self, name, g):
+        high = range(g.n // 2, g.n)
+        for k in (1, 2) if g.n > 15 else (1, 2, 3, 4):
+            family = brute_stable_sets(g, k)
+            self.check(build_TSk(g, k), family)
+            self.check(build_TSk_induced(g, k, high),
+                       {s for s in family if min(s) >= g.n // 2})
+            if k <= 3:
+                self.check(build_Fk(g, k), {
+                    frozenset(c) for c in combinations(range(g.n), k)})
+        if g.n <= 15:
+            self.check(build_TS(g), brute_all_stable(g))
 
 
 class TestInducedLaw:

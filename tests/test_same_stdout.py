@@ -1,6 +1,9 @@
 """tools/same_stdout.py tells equal source trees from ones whose stdout
-differs, on the `analyze` workload at one seed."""
+differs, on the `analyze` workload at one seed, and its extra commands
+print what the library gives."""
 
+import hashlib
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tokenslide
+from tokenslide import build_TSk, export_dot, parse_graph6
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(tokenslide.__file__).resolve().parent
@@ -54,3 +58,19 @@ def test_one_extra_byte(parent, tmp_path):
     for line in lines[:-1]:
         assert line.startswith("seed 1 analyze-")
         assert ": exit 0 -> 0, stdout " in line
+
+
+def test_extra_command_prints_export_dot(monkeypatch):
+    # the DOT build of TS_2(C_67), a host past 64 vertices, as the tool
+    # runs it, against export_dot of the same graph in this process
+    monkeypatch.syspath_prepend(str(ROOT / "clibench"))
+    spec = importlib.util.spec_from_file_location(
+        "same_stdout", ROOT / "tools" / "same_stdout.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cmd, = (c for c in tool.extra_commands(1) if c.name == "build-C67-k2-dot")
+    g = parse_graph6(cmd.argv[cmd.argv.index("--graph6") + 1])
+    assert g.n == 67
+    text = export_dot(build_TSk(g, 2))
+    assert tool.outcome(PACKAGE.parent, cmd) \
+        == (0, hashlib.sha256(text.encode()).hexdigest())

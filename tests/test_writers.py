@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import tracemalloc
 from hashlib import sha256
 from unittest import mock
@@ -39,8 +40,8 @@ import tokenslide.io
 from tokenslide.cli import _dumps, _emit, main
 from tokenslide.decompose import JoinSpec, decompose_join, product
 from tokenslide.graph import Graph
-from tokenslide.io import (export_dot, format_label, labeled_to_json,
-                           write_graph6)
+from tokenslide.io import (_label_formatter, export_dot, format_label,
+                           labeled_to_json, write_graph6)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,56 @@ class TestDotWriter:
     def test_product_pair_labels(self, a, b):
         p = product(a, b)
         assert export_dot(p) == reference_export_dot(p)
+
+
+def _half_masks(n):
+    """Masks over n vertices whose members lie only below n // 2 (the low
+    half the label tables split at), only from n // 2 up, or on both
+    sides; the single bits n // 2 - 1 and n // 2 among them."""
+    h = n // 2
+    low, full = (1 << h) - 1, (1 << n) - 1
+    masks = {0, 1, 1 << h - 1, 1 << h, 1 << h - 1 | 1 << h, 1 << n - 1,
+             low, full ^ low, full}
+    rnd = random.Random(n)
+    for _ in range(30):
+        r = rnd.getrandbits(n)
+        masks |= {r & low, r & ~low, r}
+    return sorted(masks)
+
+
+def _assert_label_writers(lg):
+    """format_label, _label_formatter, the DOT node lines and the JSON
+    node rows of lg's labels against their definitions."""
+    n = lg.base.n
+    fmt = _label_formatter(n)
+    for mask in lg.label_masks():
+        want = _reference_format_label(mask, n)
+        assert format_label(mask, n) == want
+        assert fmt(mask) == want
+    assert export_dot(lg) == reference_export_dot(lg)
+    plain = labeled_to_json(lg)
+    plain["nodes"] = [[v for v in range(n) if mask >> v & 1]
+                      for mask in lg.label_masks()]
+    assert _dumps(lg) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+class TestHalfLabels:
+    """Labels are written as the text of their low half joined to that of
+    their high half; every split prints as the whole label does."""
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 65, 128])
+    def test_masks_on_either_side_of_the_split(self, n):
+        masks = _half_masks(n)
+        _assert_label_writers(LabeledGraph(
+            "Abstract", make_graph(n, []), masks, [()] * len(masks)))
+
+    def test_product_across_the_split(self):
+        # one host of 65: the left factor's labels are the single
+        # vertices 0..32, bits 31 and 32 on either side of the split,
+        # and the right factor's are pairs in the high half
+        left = build_TSk_induced(path(65), 1, range(33))
+        right = build_TSk_induced(path(65), 2, range(52, 65))
+        _assert_label_writers(product(left, right))
 
 
 # ---------------------------------------------------------------------------
