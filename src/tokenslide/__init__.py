@@ -11,15 +11,8 @@ from .decompose import (Decomposition, JoinSpec, check_disconnection,
                         decompose_join, join_spec_from_json, product)
 from .enumeration import (GRAPHS_MAX_N, TREES_MAX_N, enumerate_connected_graphs,
                           enumerate_graphs, enumerate_trees)
-from .errors import (ConditionViolated, CycleTooSmall, DegenerateSegment,
-                     ExplosionCap, GeneralPositionViolated, IndexOutOfRange,
-                     InputError, KMismatch, LoopEdge, MalformedGraph6,
-                     MalformedJoinSpec, NExceedsK, NExceedsWidth,
-                     NoStableSetOfSizeK, NotConnected, NotIndependent,
-                     NotSplit, NTooLarge, ResourceCap, SubsetViolation,
-                     TokenslideError, TooFewPoints, TooLargeForIso,
-                     TooLargeForSearch, TooManyPoints, UniverseOverlap,
-                     UnknownSearch)
+from .errors import (ExplosionCap, InputError, NotSplit, ResourceCap,
+                     TokenslideError, TooLargeForIso, TooLargeForSearch)
 from .geometry import (GeneralPosition, SegmentGraph, check_general_position,
                        convex_hull_size, delaunay, edge_intersection_graph,
                        flip_graph, in_circle, lawson_distance, orient,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (InputError, MalformedJoinSpec, NoStableSetOfSizeK,
-                     UniverseOverlap)
+from .errors import InputError
 from .graph import Graph, _mask_of, disjoint_union, join, members
 from .io import _label_formatter, graph_from_json, graph_to_json
 from .reconf import LabeledGraph, build_TSk, build_TSk_induced
@@ -45,8 +44,7 @@ class JoinSpec:
             raise InputError(f"k must be >= 1, got {self.k}")
         for name, g in (("G1", self.g1), ("G2", self.g2)):
             if _max_stable_in_masks(g.n, g._adj, self.k) < self.k:
-                raise NoStableSetOfSizeK(
-                    f"{name} has no stable set of size {self.k}")
+                raise InputError(f"{name} has no stable set of size {self.k}")
 
     def joined(self):
         return join(self.g1, members(self.h1), self.g2, members(self.h2))
@@ -67,7 +65,7 @@ def join_spec_from_json(data):
             and type(data["k"]) is int  # not isinstance: rejects true
             and all(isinstance(h, list) and all(type(v) is int for v in h)
                     for h in (data["h1"], data["h2"]))):
-        raise MalformedJoinSpec(
+        raise InputError(
             "JoinSpec JSON must be an object with graphs g1, g2, integer "
             "lists h1, h2 and an integer k")
     g1 = graph_from_json(data["g1"])
@@ -89,7 +87,7 @@ def product(a, b):
         for ma in a_masks:
             for mb in b_masks:
                 if ma & mb:
-                    raise UniverseOverlap(
+                    raise InputError(
                         f"labels {list(members(ma))} and "
                         f"{list(members(mb))} share vertices")
     else:

@@ -48,7 +48,7 @@ from itertools import chain
 
 from . import canon
 from .canon import _generators, canonical_form
-from .errors import NTooLarge
+from .errors import InputError
 from .graph import Graph, make_graph, members
 from .props import is_connected
 
@@ -59,7 +59,8 @@ GRAPHS_MAX_N = 7
 def enumerate_trees(n):
     """One representative per isomorphism class of trees on n vertices."""
     if not 1 <= n <= TREES_MAX_N:
-        raise NTooLarge(f"tree enumeration supports 1..{TREES_MAX_N}, got {n}")
+        raise InputError(
+            f"tree enumeration supports 1..{TREES_MAX_N}, got {n}")
     if n == 1:
         trees = [make_graph(1, [])]
     else:
@@ -235,7 +236,7 @@ def enumerate_graphs(n, keep=None):
     each candidate is canonised, so rejected ones cost no canonical form.
     """
     if not 1 <= n <= GRAPHS_MAX_N:
-        raise NTooLarge(
+        raise InputError(
             f"graph enumeration supports 1..{GRAPHS_MAX_N}, got {n}")
     return list((_graph_layer(n) if keep is None else _layer(n, keep))[0])
 

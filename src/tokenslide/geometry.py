@@ -22,8 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .errors import (DegenerateSegment, GeneralPositionViolated, InputError,
-                     TooFewPoints, TooManyPoints)
+from .errors import InputError
 from .graph import Graph, make_graph, members
 from .io import format_label
 from .reconf import LabeledGraph, _swap_edges
@@ -80,7 +79,7 @@ def check_general_position(points):
     """No three collinear, no four co-circular; names the first violation."""
     pts = _check_points(points)
     if len(pts) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
+        raise InputError(f"need at least 3 points, got {len(pts)}")
     return _general_position_of(tuple(pts))
 
 
@@ -103,7 +102,7 @@ def _require_general_position(points):
         what = (f"collinear triple {verdict.collinear}"
                 if verdict.collinear else
                 f"co-circular quadruple {verdict.cocircular}")
-        raise GeneralPositionViolated(what)
+        raise InputError(what)
     return _check_points(points)
 
 
@@ -114,7 +113,7 @@ def segments_intersect(a, b, c, d):
     """
     for p, q in ((a, b), (c, d)):
         if tuple(p) == tuple(q):
-            raise DegenerateSegment(f"segment {p}-{q} has zero length")
+            raise InputError(f"segment {p}-{q} has zero length")
     return _cross((a, b, c, d), (0, 1), (2, 3))
 
 
@@ -203,7 +202,7 @@ def _crossing_stables(points, what):
     checked equal-sized); consecutive calls on one point set share them."""
     pts = _check_points(points)
     if len(pts) > POINTS_MAX:
-        raise TooManyPoints(
+        raise InputError(
             f"{what} supports up to {POINTS_MAX} points, got {len(pts)}")
     return _crossing_of(tuple(pts))
 

@@ -9,13 +9,7 @@ adjacency-list based and not subject to this cap.
 
 from __future__ import annotations
 
-from .errors import (
-    CycleTooSmall,
-    IndexOutOfRange,
-    LoopEdge,
-    NExceedsWidth,
-    SubsetViolation,
-)
+from .errors import InputError
 
 WIDTH_MAX = 128
 
@@ -100,7 +94,7 @@ class Graph:
 
     def has_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
-            raise IndexOutOfRange(f"edge ({u},{v}) outside 0..{self.n - 1}")
+            raise InputError(f"edge ({u},{v}) outside 0..{self.n - 1}")
         return (self._adj[u] >> v) & 1 == 1
 
     def edges(self):
@@ -131,22 +125,22 @@ def make_graph(n, edges, names=None):
     """Graph with exactly the given edges, deduplicated and symmetric."""
     n = int(n)
     if n < 0:
-        raise IndexOutOfRange(f"vertex count {n} is negative")
+        raise InputError(f"vertex count {n} is negative")
     if n > WIDTH_MAX:
-        raise NExceedsWidth(f"vertex count {n} exceeds the cap {WIDTH_MAX}")
+        raise InputError(f"vertex count {n} exceeds the cap {WIDTH_MAX}")
     adj = [0] * n
     for u, v in edges:
         u, v = int(u), int(v)
         if u == v:
-            raise LoopEdge(f"loop edge ({u},{u})")
+            raise InputError(f"loop edge ({u},{u})")
         if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise InputError(f"edge ({u},{v}) outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if names is not None:
         names = tuple(str(x) for x in names)
         if len(names) != n:
-            raise IndexOutOfRange(f"{len(names)} names for {n} vertices")
+            raise InputError(f"{len(names)} names for {n} vertices")
     return Graph(n, adj, names)
 
 
@@ -162,42 +156,42 @@ def complement(g):
 def path(n):
     """P_n: vertices 0..n-1 consecutive."""
     if n < 1:
-        raise IndexOutOfRange("path needs n >= 1")
+        raise InputError("path needs n >= 1")
     return make_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n):
     """C_n: vertices 0..n-1 in cyclic order."""
     if n < 3:
-        raise CycleTooSmall(f"cycle needs n >= 3, got {n}")
+        raise InputError(f"cycle needs n >= 3, got {n}")
     return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n):
     """K_n."""
     if n < 1:
-        raise IndexOutOfRange("complete needs n >= 1")
+        raise InputError("complete needs n >= 1")
     return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(m, n):
     """K_{m,n}: parts 0..m-1 and m..m+n-1."""
     if m < 1 or n < 1:
-        raise IndexOutOfRange("complete_bipartite needs m, n >= 1")
+        raise InputError("complete_bipartite needs m, n >= 1")
     return make_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def star(n):
     """K_{1,n}: center 0, leaves 1..n."""
     if n < 1:
-        raise IndexOutOfRange("star needs n >= 1")
+        raise InputError("star needs n >= 1")
     return make_graph(n + 1, ((0, i) for i in range(1, n + 1)))
 
 
 def complete_minus_edge(n):
     """K_n minus the edge (0,1); n=4 gives the diamond."""
     if n < 2:
-        raise IndexOutOfRange("complete_minus_edge needs n >= 2")
+        raise InputError("complete_minus_edge needs n >= 2")
     return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)
                           if (i, j) != (0, 1)))
 
@@ -205,10 +199,10 @@ def complete_minus_edge(n):
 def add_isolated(g, t):
     """g plus t isolated vertices appended after the existing ones."""
     if t < 0:
-        raise IndexOutOfRange("add_isolated needs t >= 0")
+        raise InputError("add_isolated needs t >= 0")
     n = g.n + t
     if n > WIDTH_MAX:
-        raise NExceedsWidth(f"vertex count {n} exceeds the cap {WIDTH_MAX}")
+        raise InputError(f"vertex count {n} exceeds the cap {WIDTH_MAX}")
     names = None
     if g.names is not None:
         names = g.names + tuple(str(g.n + i) for i in range(t))
@@ -219,7 +213,7 @@ def disjoint_union(g1, g2):
     """g1 plus g2 with g2's indices shifted by |V(g1)|."""
     n = g1.n + g2.n
     if n > WIDTH_MAX:
-        raise NExceedsWidth(f"vertex count {n} exceeds the cap {WIDTH_MAX}")
+        raise InputError(f"vertex count {n} exceeds the cap {WIDTH_MAX}")
     adj = list(g1._adj) + [a << g1.n for a in g2._adj]
     names = None
     if g1.names is not None and g2.names is not None:
@@ -233,7 +227,7 @@ def _mask_of(vertices, n):
     for v in vertices:
         v = int(v)
         if v < 0 or v >= n:
-            raise SubsetViolation(f"vertex {v} not in 0..{n - 1}")
+            raise InputError(f"vertex {v} not in 0..{n - 1}")
         mask |= 1 << v
     return mask
 
@@ -280,7 +274,7 @@ def delete_vertices(g, vertices):
 def relabel(g, perm):
     """Image of g under the permutation perm (perm[v] = new index of v)."""
     if sorted(perm) != list(range(g.n)):
-        raise IndexOutOfRange("perm is not a permutation of 0..n-1")
+        raise InputError("perm is not a permutation of 0..n-1")
     adj = [0] * g.n
     for v in range(g.n):
         row = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .errors import MalformedGraph6, NExceedsWidth
+from .errors import InputError
 from .graph import WIDTH_MAX, Graph, _Prefix, make_graph, members
 
 # lines (DOT) or list rows (JSON) formatted per write call
@@ -26,7 +26,7 @@ def write_graph6(g):
     """Standard graph6 encoding; long size form for 63..128 vertices."""
     n = g.n
     if n > WIDTH_MAX:
-        raise NExceedsWidth(f"graph6 writer capped at {WIDTH_MAX} vertices")
+        raise InputError(f"graph6 writer capped at {WIDTH_MAX} vertices")
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -49,41 +49,40 @@ def write_graph6(g):
 
 
 def parse_graph6(text):
-    """Inverse of write_graph6; raises MalformedGraph6 on bad input."""
+    """Inverse of write_graph6; raises InputError on bad input."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
-        raise MalformedGraph6("empty graph6 string")
+        raise InputError("empty graph6 string")
     data = []
     for ch in s:
         code = ord(ch)
         if code < 63 or code > 126:
-            raise MalformedGraph6(f"byte {code} outside graph6 range")
+            raise InputError(f"byte {code} outside graph6 range")
         data.append(code - 63)
     if data[0] == 63:  # '~' long form
         if len(data) < 4:
-            raise MalformedGraph6("truncated long size field")
+            raise InputError("truncated long size field")
         if data[1] == 63:
-            raise MalformedGraph6("very long size form not supported")
+            raise InputError("very long size form not supported")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         body = data[4:]
     else:
         n = data[0]
         body = data[1:]
     if n > WIDTH_MAX:
-        raise MalformedGraph6(
-            f"graph has {n} vertices, cap is {WIDTH_MAX}")
+        raise InputError(f"graph has {n} vertices, cap is {WIDTH_MAX}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
-        raise MalformedGraph6(
+        raise InputError(
             f"expected {(nbits + 5) // 6} body chars for n={n}, got {len(body)}")
     bits = []
     for group in body:
         for s_ in (5, 4, 3, 2, 1, 0):
             bits.append((group >> s_) & 1)
     if any(bits[nbits:]):
-        raise MalformedGraph6("nonzero padding bits")
+        raise InputError("nonzero padding bits")
     edges = []
     idx = 0
     for j in range(1, n):
@@ -108,15 +107,17 @@ def graph_from_json(obj):
         edges = [tuple(e) for e in obj["edges"]]
         names = obj.get("names")
     except (TypeError, KeyError) as exc:
-        raise MalformedGraph6(f"bad JSON graph object: {exc}")
+        raise InputError(f"bad JSON graph object: {exc}")
     # type() and not isinstance(): JSON true and false are not integers
     if type(n) is not int or not all(
             len(e) == 2 and all(type(v) is int for v in e)
             for e in edges):
-        raise MalformedGraph6("JSON graph needs an integer n and edges "
+        raise InputError("JSON graph needs an integer n and edges "
                               "that are pairs of integers")
     if names is not None and not isinstance(names, list):
-        raise MalformedGraph6("JSON graph names must be a list or null")
+        raise InputError("JSON graph names must be a list or null")
+    if names is not None and not all(type(x) is str for x in names):
+        raise InputError("JSON graph names must be strings")
     return make_graph(n, edges, names)
 
 

@@ -18,8 +18,7 @@ from itertools import chain, combinations
 from .canon import iso_map
 from .config import node_budget
 from .enumeration import GRAPHS_MAX_N, enumerate_graphs
-from .errors import (ConditionViolated, CycleTooSmall, InputError, KMismatch,
-                     NExceedsK, NotConnected, NotIndependent, NTooLarge)
+from .errors import InputError
 from .graph import (Graph, _mask_of, add_isolated, complement, complete,
                     cycle, disjoint_union, make_graph, members, path, star)
 from .io import graph_to_json
@@ -118,8 +117,7 @@ def realize_cycle(n, k):
     so n = 3 is the complete-graph construction.
     """
     _require(k >= 2, f"k must be >= 2, got {k}")
-    if n < 3:
-        raise CycleTooSmall(f"cycle needs n >= 3, got {n}")
+    _require(n >= 3, f"cycle needs n >= 3, got {n}")
     if n == 3:
         return realize_complete(3, k)
     low = (1 << n) - 1
@@ -135,8 +133,7 @@ def realize_star(n, k):
     the matching a_i b_i; slide graph is the star K_{1,n}."""
     _require(k >= 2, f"k must be >= 2, got {k}")
     _require(n >= 1, f"n must be >= 1, got {n}")
-    if n > k:
-        raise NExceedsK(f"star needs n <= k, got n={n}, k={k}")
+    _require(n <= k, f"star needs n <= k, got n={n}, k={k}")
     edges = chain(((k + i, k + j) for i in range(n) for j in range(i + 1, n)),
                   ((i, k + i) for i in range(n)))
     # the center is the set of all a-vertices; leaf i swaps a_i for b_i
@@ -145,8 +142,7 @@ def realize_star(n, k):
 
 
 def _kmax_with_checks(f):
-    if not is_connected(f):
-        raise NotConnected("graph is not connected")
+    _require(is_connected(f), "graph is not connected")
     return kmax_partition(f)
 
 
@@ -176,8 +172,7 @@ def realize_split(f, k):
     _require(k >= 2, f"k must be >= 2, got {k}")
     part = _kmax_with_checks(f)
     violation = next(_split_conditions(f, part, k), None)
-    if violation is not None:
-        raise ConditionViolated(violation)
+    _require(violation is None, violation)
     kv = members(part.K)
     # x^i_j = (i, j, w): the j-th stable-side neighbor w of clique vertex i
     xs = [(i, j, w) for i, v in enumerate(kv)
@@ -203,8 +198,7 @@ def extend_with_vG(g, independent):
     The slide graph at k = |I|+1 gains exactly the node I + v_G.
     """
     vs = members(_mask_of(independent, g.n))
-    if not is_independent(g, vs):
-        raise NotIndependent(f"{list(vs)} is not independent")
+    _require(is_independent(g, vs), f"{list(vs)} is not independent")
     extra = [(v, g.n) for v in range(g.n) if v not in vs]
     return make_graph(g.n + 1, list(g.edges()) + extra)
 
@@ -215,8 +209,7 @@ def realize_disjoint_union(parts, k):
     parts = list(parts)
     _require(len(parts) >= 1, "need at least one part")
     for idx, p in enumerate(parts):
-        if p.k != k:
-            raise KMismatch(f"part {idx} has k={p.k}, expected {k}")
+        _require(p.k == k, f"part {idx} has k={p.k}, expected {k}")
     if len(parts) == 1:
         return parts[0]
     _require(k >= 2, f"k must be >= 2 for multi-part unions, got {k}")
@@ -242,9 +235,8 @@ def search_realizer(target, k, max_n):
     Returns the first hit in (vertex count, canonical order), or
     NoneUpTo(max_n). A negative answer is bounded evidence only.
     """
-    if max_n > GRAPHS_MAX_N:
-        raise NTooLarge(f"search limited to {GRAPHS_MAX_N} vertices, "
-                        f"got {max_n}")
+    _require(max_n <= GRAPHS_MAX_N,
+             f"search limited to {GRAPHS_MAX_N} vertices, got {max_n}")
     _require(max_n >= 1, f"max_n must be >= 1, got {max_n}")
     _require(k >= 1, f"k must be >= 1, got {k}")
     target_edges = target.num_edges()

@@ -22,7 +22,7 @@ from collections import Counter
 from math import comb
 
 from .config import node_budget
-from .errors import ExplosionCap, IndexOutOfRange
+from .errors import ExplosionCap, InputError
 from .graph import _Prefix, _mask_of, make_graph, members
 from .stable import (_enumerate_stable_masks, all_independent_sets,
                      cliques_of_size, independent_sets_of_size)
@@ -265,7 +265,7 @@ def build_Lk(g, k):
 def build_Fk(g, k):
     """Token graph F_k(g): all k-subsets under the slide rule."""
     if not 1 <= k <= g.n:
-        raise IndexOutOfRange(f"k must be in 1..{g.n}, got {k}")
+        raise InputError(f"k must be in 1..{g.n}, got {k}")
     cap = node_budget()
     if comb(g.n, k) > cap:
         raise ExplosionCap(

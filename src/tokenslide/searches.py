@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from .enumeration import enumerate_graphs, enumerate_trees
-from .errors import UnknownSearch
+from .errors import InputError
 from .graph import cycle
 from .io import write_graph6
 from .props import _planar, is_connected
@@ -58,7 +58,7 @@ def run_search(name):
     """Run one named search."""
     start = time.monotonic()
     if name not in _SEARCHES:
-        raise UnknownSearch(
+        raise InputError(
             f"unknown search {name!r}; choices: {', '.join(SEARCH_NAMES)}")
     graphs = _SEARCHES[name]()
     verdicts = [_ts_planar_verdict(g) for g in graphs]

@@ -4,6 +4,7 @@ The oracles here are written straight from the definitions with itertools,
 independent of the package's bitmask code paths, so the two can disagree.
 """
 
+import contextlib
 import random
 from itertools import combinations
 
@@ -11,7 +12,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from tokenslide import Graph, make_graph
+from tokenslide import Graph, InputError, make_graph
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,15 @@ def random_eulerian_graph(rng, n):
                 g.add_edge(a, b)
         if g.number_of_edges() and nx.is_connected(g):
             return make_graph(n, sorted(g.edges()))
+
+
+@contextlib.contextmanager
+def raises_input_error(message):
+    """Expect InputError itself, not a subclass, with exactly this message."""
+    with pytest.raises(InputError) as info:
+        yield
+    assert type(info.value) is InputError
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

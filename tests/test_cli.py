@@ -630,16 +630,71 @@ class TestHarness:
         assert out == ""
         assert "--stdin" in err
 
-    @pytest.mark.parametrize("case", [
-        "build-k-zero", "analyze-ts-zero", "points-not-pairs",
-        "points-not-json", "lawson-segment-of-one", "json-edge-of-one",
-        "budget-not-an-integer", "json-file-missing", "spec-file-missing",
-        "spec-missing-keys", "spec-not-an-object", "spec-k-not-an-integer",
-        "spec-h1-not-a-list", "spec-k-boolean", "spec-h1-boolean",
-        "json-n-boolean", "json-edge-boolean", "point-boolean",
-        "lawson-segment-boolean", "json-file-not-utf8", "spec-file-not-utf8",
-        "json-file-too-deep", "spec-too-deep", "points-too-deep",
-        "spec-stdin-not-utf8", "budget-zero", "family-without-n"])
+    # case -> the one line on stderr after "error: "; {tmp} stands for
+    # tmp_path
+    JSON_GRAPH = ("JSON graph needs an integer n and edges that are pairs of "
+                  "integers")
+    JOIN_SPEC = ("JoinSpec JSON must be an object with graphs g1, g2, "
+                 "integer lists h1, h2 and an integer k")
+    MISSING = "cannot read {tmp}/missing.json: No such file or directory"
+    NOT_UTF8 = ("bad JSON: 'utf-8' codec can't decode byte 0xff in "
+                "position {}: invalid start byte")
+    BAD_INPUT = {
+        "build-k-zero": "--k must be >= 1, got 0",
+        "analyze-ts-zero": "--ts must be >= 1, got 0",
+        "points-not-pairs": "point 1 is not an (x, y) pair",
+        "points-not-json":
+            "bad JSON: Expecting value: line 1 column 1 (char 0)",
+        "lawson-segment-of-one": "segment [0] is not a valid point pair",
+        "json-edge-of-one": JSON_GRAPH,
+        "budget-not-an-integer":
+            "TOKENSLIDE_NODE_BUDGET must be an integer, got 'abc'",
+        "json-file-missing": MISSING,
+        "spec-file-missing": MISSING,
+        "spec-missing-keys": JOIN_SPEC,
+        "spec-not-an-object": JOIN_SPEC,
+        "spec-k-not-an-integer": JOIN_SPEC,
+        "spec-h1-not-a-list": JOIN_SPEC,
+        "spec-k-boolean": JOIN_SPEC,
+        "spec-h1-boolean": JOIN_SPEC,
+        "json-n-boolean": JSON_GRAPH,
+        "json-edge-boolean": JSON_GRAPH,
+        "point-boolean": "point [True, 1] has non-integer coordinates",
+        "lawson-segment-boolean":
+            "segment [False, True] is not a valid point pair",
+        "json-file-not-utf8": NOT_UTF8.format(33),
+        "spec-file-not-utf8": NOT_UTF8.format(33),
+        "json-file-too-deep": "bad JSON: nested too deeply",
+        "spec-too-deep": "bad JSON: nested too deeply",
+        "points-too-deep": "bad JSON: nested too deeply",
+        "spec-stdin-not-utf8": NOT_UTF8.format(7),
+        "budget-zero": "TOKENSLIDE_NODE_BUDGET must be positive",
+        "family-without-n": "--family needs --n",
+        "json-loop-edge": "loop edge (0,0)",
+        "json-n-over-cap": "vertex count 129 exceeds the cap 128",
+        "json-names-not-strings": "JSON graph names must be strings",
+        "json-names-true-null": "JSON graph names must be strings",
+        "gen-cycle-too-small": "cycle needs n >= 3, got 2",
+        "gen-trees-11": "tree enumeration supports 1..10, got 11",
+        "graph6-bad-byte": "byte 33 outside graph6 range",
+        "graph6-bad-padding": "nonzero padding bits",
+        "realize-star-n-over-k": "star needs n <= k, got n=3, k=2",
+        "realize-cycle-too-small": "cycle needs n >= 3, got 2",
+        "split-not-connected": "graph is not connected",
+        "split-not-split":
+            "not a split graph: induced forbidden subgraph on (0, 1, 2, 3)",
+        "split-condition":
+            "clique vertex 0 has 2 stable-side neighbors, limit is 1",
+        "search-max-n-8": "search limited to 7 vertices, got 8",
+        "spec-h1-out-of-range": "vertex 5 not in 0..1",
+        "spec-no-stable-k-set": "G1 has no stable set of size 3",
+        "geom-two-points": "need at least 3 points, got 2",
+        "geom-eleven-points":
+            "triangulation enumeration supports up to 10 points, got 11",
+        "geom-collinear-delaunay": "collinear triple (0, 1, 2)",
+    }
+
+    @pytest.mark.parametrize("case", BAD_INPUT)
     def test_bad_input_is_exit_2(self, case, capsys, monkeypatch, tmp_path):
         g6 = write_graph6(path(3))
         graph_file = tmp_path / "g.json"
@@ -649,6 +704,16 @@ class TestHarness:
         edge_bool_file = tmp_path / "edge_bool.json"
         edge_bool_file.write_text(json.dumps({"n": 2,
                                               "edges": [[False, True]]}))
+        json_files = {
+            "json-loop-edge": {"n": 2, "edges": [[0, 0]]},
+            "json-n-over-cap": {"n": 129, "edges": []},
+            "json-names-not-strings": {"n": 2, "edges": [[0, 1]],
+                                       "names": [1.5, {"a": 1}]},
+            "json-names-true-null": {"n": 2, "edges": [],
+                                     "names": [True, None]},
+        }
+        case_file = tmp_path / "case.json"
+        case_file.write_text(json.dumps(json_files.get(case)))
         missing = str(tmp_path / "missing.json")
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b'{"n": 1, "edges": [], "names": ["\xff"]}')
@@ -668,12 +733,6 @@ class TestHarness:
             "budget-not-an-integer": ["build", "--graph6", g6, "--k", "1"],
             "json-file-missing": ["build", "--json", missing, "--k", "1"],
             "spec-file-missing": ["decompose", "--spec", missing],
-            "spec-missing-keys": ["decompose", "--stdin"],
-            "spec-not-an-object": ["decompose", "--stdin"],
-            "spec-k-not-an-integer": ["decompose", "--stdin"],
-            "spec-h1-not-a-list": ["decompose", "--stdin"],
-            "spec-k-boolean": ["decompose", "--stdin"],
-            "spec-h1-boolean": ["decompose", "--stdin"],
             "json-n-boolean": ["build", "--json", str(n_true_file),
                                "--k", "1"],
             "json-edge-boolean": ["build", "--json", str(edge_bool_file),
@@ -689,12 +748,34 @@ class TestHarness:
                                    "--k", "1"],
             "spec-file-not-utf8": ["decompose", "--spec", str(not_utf8)],
             "json-file-too-deep": ["analyze", "--json", str(too_deep_file)],
-            "spec-too-deep": ["decompose", "--stdin"],
             "points-too-deep": ["geom", "--stdin", "--check"],
-            "spec-stdin-not-utf8": ["decompose", "--stdin"],
             "budget-zero": ["build", "--graph6", g6, "--k", "1"],
             "family-without-n": ["realize", "--family", "path", "--k", "2"],
-        }[case]
+            "gen-cycle-too-small": ["gen", "--family", "cycle", "--n", "2"],
+            "gen-trees-11": ["gen", "--trees", "11"],
+            "graph6-bad-byte": ["build", "--graph6", "B!", "--k", "1"],
+            "graph6-bad-padding": ["build", "--graph6", "A`", "--k", "1"],
+            "realize-star-n-over-k": ["realize", "--family", "star",
+                                      "--n", "3", "--k", "2"],
+            "realize-cycle-too-small": ["realize", "--family", "cycle",
+                                        "--n", "2", "--k", "2"],
+            "split-not-connected": ["realize", "--split", "A?", "--k", "2"],
+            "split-not-split": ["realize", "--split", "Cl", "--k", "2"],
+            "split-condition": ["realize", "--split", "Cs", "--k", "2"],
+            "search-max-n-8": ["realize", "--search", g6, "--k", "2",
+                               "--max-n", "8"],
+            "geom-two-points": ["geom", "--points", "[[0,0],[1,0]]",
+                                "--check"],
+            "geom-eleven-points": [
+                "geom", "--points",
+                json.dumps([[x, x * x] for x in range(11)]),
+                "--triangulations"],
+            "geom-collinear-delaunay": ["geom", "--points",
+                                        "[[0,0],[1,1],[2,2]]", "--delaunay"],
+        }.get(case)
+        if argv is None:  # a JoinSpec on stdin, or a graph in json_files
+            argv = (["decompose", "--stdin"] if case.startswith("spec-")
+                    else ["build", "--json", str(case_file), "--k", "1"])
         budget = {"budget-not-an-integer": "abc", "budget-zero": "0"}
         if case in budget:
             monkeypatch.setenv("TOKENSLIDE_NODE_BUDGET", budget[case])
@@ -704,6 +785,8 @@ class TestHarness:
                  "spec-h1-not-a-list": json.dumps({**spec, "h1": 3}),
                  "spec-k-boolean": json.dumps({**spec, "k": True}),
                  "spec-h1-boolean": json.dumps({**spec, "h1": [True]}),
+                 "spec-h1-out-of-range": json.dumps({**spec, "h1": [5]}),
+                 "spec-no-stable-k-set": json.dumps({**spec, "k": 3}),
                  "spec-too-deep": too_deep, "points-too-deep": too_deep}
         stdin = io.StringIO(stdin.get(case, ""))
         if case == "spec-stdin-not-utf8":  # stdin that decodes strictly
@@ -711,11 +794,9 @@ class TestHarness:
                                      encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, *argv)
-        assert code == 2, err
-        assert out == ""
-        assert err.startswith("error:") and "Traceback" not in err
-        assert {"budget-zero": "TOKENSLIDE_NODE_BUDGET must be positive",
-                "family-without-n": "--family needs --n"}.get(case, "") in err
+        assert (code, out) == (2, ""), err
+        assert err == "error: " + self.BAD_INPUT[case].format(
+            tmp=tmp_path) + "\n"
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

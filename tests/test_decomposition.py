@@ -6,9 +6,7 @@ import pytest
 from tokenslide import (
     InputError,
     JoinSpec,
-    NoStableSetOfSizeK,
-    SubsetViolation,
-    UniverseOverlap,
+    alpha,
     build_TSk,
     build_TSk_induced,
     check_disconnection,
@@ -24,7 +22,8 @@ from tokenslide import (
 )
 from tokenslide.graph import members
 
-from conftest import brute_slide_edges, brute_stable_sets, random_graph
+from conftest import (brute_slide_edges, brute_stable_sets, raises_input_error,
+                      random_graph)
 
 
 def fig_disconnection_spec():
@@ -44,18 +43,15 @@ def random_specs(rng, count):
         k = rng.randint(2, 3)
         h1 = [v for v in range(g1.n) if rng.random() < 0.5]
         h2 = [v for v in range(g2.n) if rng.random() < 0.5]
-        if not h1 or not h2:
+        if not h1 or not h2 or alpha(g1) < k or alpha(g2) < k:
             continue
-        try:
-            out.append(JoinSpec(g1, g2, h1, h2, k))
-        except NoStableSetOfSizeK:
-            continue
+        out.append(JoinSpec(g1, g2, h1, h2, k))
     return out
 
 
 class TestJoinSpec:
     def test_validates_subsets(self):
-        with pytest.raises(SubsetViolation):
+        with raises_input_error("vertex 5 not in 0..2"):
             JoinSpec(path(3), path(3), [5], [0], 1)
 
     def test_validates_k(self):
@@ -63,9 +59,9 @@ class TestJoinSpec:
             JoinSpec(path(3), path(3), [0], [0], 0)
 
     def test_requires_stable_sets_both_sides(self):
-        with pytest.raises(NoStableSetOfSizeK):
+        with raises_input_error("G1 has no stable set of size 2"):
             JoinSpec(complete(3), path(5), [0], [0], 2)
-        with pytest.raises(NoStableSetOfSizeK):
+        with raises_input_error("G2 has no stable set of size 2"):
             JoinSpec(path(5), complete(3), [0], [0], 2)
 
     def test_existence_needs_no_enumeration(self):
@@ -132,7 +128,7 @@ class TestProduct:
 
     def test_shared_base_overlap_rejected(self):
         a = build_TSk(path(4), 2)
-        with pytest.raises(UniverseOverlap):
+        with raises_input_error("labels [0, 2] and [0, 2] share vertices"):
             product(a, a)
 
 

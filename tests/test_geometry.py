@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
-    DegenerateSegment,
-    GeneralPositionViolated,
     InputError,
-    TooFewPoints,
-    TooManyPoints,
     alpha,
     build_TSk,
     check_general_position,
@@ -28,6 +24,8 @@ from tokenslide import (
 )
 from tokenslide import geometry
 from tokenslide.cli import main
+
+from conftest import raises_input_error
 
 # six points, irregular quadrilateral hull, two interior points;
 # every derived constant below was cross-checked by hand against the
@@ -153,7 +151,7 @@ class TestPredicates:
         assert not segments_intersect((0, 0), (1, 0), (3, 3), (4, 4))
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSegment):
+        with raises_input_error("segment (1, 1)-(1, 1) has zero length"):
             segments_intersect((1, 1), (1, 1), (0, 0), (2, 2))
 
     @given(point, point, point, point)
@@ -181,7 +179,7 @@ class TestGeneralPosition:
         assert check_general_position(PTS).ok
 
     def test_too_few(self):
-        with pytest.raises(TooFewPoints):
+        with raises_input_error("need at least 3 points, got 2"):
             check_general_position([(0, 0), (1, 1)])
 
     def test_collinear_named(self):
@@ -206,7 +204,7 @@ class TestGeneralPosition:
             check_general_position([(0, 0), (1, 1), (0.5, 2)])
 
     def test_degenerate_input_rejected_downstream(self):
-        with pytest.raises(GeneralPositionViolated):
+        with raises_input_error("collinear triple (0, 1, 2)"):
             edge_intersection_graph([(0, 0), (2, 2), (5, 5), (1, 7)])
 
 
@@ -285,9 +283,11 @@ class TestTriangulations:
 
     def test_point_cap(self):
         pts = [(i, i * i) for i in range(11)]
-        with pytest.raises(TooManyPoints):
+        with raises_input_error(
+                "triangulation enumeration supports up to 10 points, got 11"):
             triangulations(pts)
-        with pytest.raises(TooManyPoints):
+        with raises_input_error(
+                "flip graph supports up to 10 points, got 11"):
             flip_graph(pts)
 
 

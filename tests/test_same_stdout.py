@@ -1,6 +1,7 @@
 """tools/same_stdout.py tells equal source trees from ones whose stdout
-differs, on the `analyze` workload at one seed, and its extra commands
-print what the library gives."""
+differs, on the `analyze` workload at one seed, or whose error line
+differs, on its extra commands, and those print what the library
+gives."""
 
 import hashlib
 import importlib.util
@@ -24,10 +25,10 @@ def copy_src(dest):
     return dest
 
 
-def same_stdout(old, new):
+def same_stdout(old, new, workload="analyze"):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "same_stdout.py"), str(old),
-         str(new), "--workload", "analyze", "--seeds", "1"],
+         str(new), "--workload", workload, "--seeds", "1"],
         capture_output=True, text=True, timeout=120)
 
 
@@ -60,6 +61,23 @@ def test_one_extra_byte(parent, tmp_path):
         assert ": exit 0 -> 0, stdout " in line
 
 
+def test_changed_error_message(parent, tmp_path):
+    io_py = copy_src(tmp_path) / "tokenslide" / "io.py"
+    text = io_py.read_text()
+    assert text.count('"nonzero padding bits"') == 1
+    io_py.write_text(text.replace('"nonzero padding bits"',
+                                  '"nonzero padding bit"'))
+    proc = same_stdout(parent, tmp_path, "extra")
+    assert proc.returncode == 1, proc.stderr
+    empty = hashlib.sha256(b"").hexdigest()[:16]
+    old, new = (hashlib.sha256(f"error: {m}\n".encode()).hexdigest()[:16]
+                for m in ("nonzero padding bits", "nonzero padding bit"))
+    assert proc.stdout.splitlines() == [
+        f"seed 1 bad-graph6-padding: exit 2 -> 2, stdout {empty} -> {empty}"
+        f", stderr {old} -> {new}",
+        "1 of 13 commands differ"]
+
+
 def test_extra_command_prints_export_dot(monkeypatch):
     # the DOT build of TS_2(C_67), a host past 64 vertices, as the tool
     # runs it, against export_dot of the same graph in this process
@@ -73,4 +91,4 @@ def test_extra_command_prints_export_dot(monkeypatch):
     assert g.n == 67
     text = export_dot(build_TSk(g, 2))
     assert tool.outcome(PACKAGE.parent, cmd) \
-        == (0, hashlib.sha256(text.encode()).hexdigest())
+        == (0, hashlib.sha256(text.encode()).hexdigest(), None)

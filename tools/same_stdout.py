@@ -11,9 +11,12 @@ under each tree, with that tree alone on PYTHONPATH and the command's
 stdin. --workload, which may repeat, keeps only the named workloads.
 `--workload extra` selects the commands of extra_commands below, which
 are not in the benchmark: hosts past 64 vertices and of odd size, where
-the workloads' hosts have at most 28 vertices. Each command whose exit
-code or stdout SHA-256 differs between the trees is printed, and the
-exit status is then 1; otherwise it is 0.
+the workloads' hosts have at most 28 vertices, and bad inputs. Each
+command whose exit code or stdout SHA-256 differs between the trees is
+printed, and the exit status is then 1; otherwise it is 0. On exit 2
+(bad input) and 3 (a budget hit) stderr is one deterministic line, and
+its SHA-256 is compared too; on other exits it is not, as it holds a
+wall time (search) or a traceback with file paths.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def source_tree(text):
 def extra_commands(seed):
     """build as JSON and DOT of hosts past 64 vertices and of odd size,
     and a decompose whose joined host has 17 vertices, relabeled by seed
-    as the workloads' inputs are."""
+    as the workloads' inputs are; then one bad input each for graph6, a
+    JSON graph, realize --split, a JoinSpec, geom points and Lawson."""
     import networkx as nx
     import workloads
 
@@ -73,16 +77,39 @@ def extra_commands(seed):
     cmds.append(workloads.Command(
         "decompose-P9-C8-k3", ("decompose", "--stdin"),
         ("decompose", {"spec": spec}), stdin=json.dumps(spec)))
+    p3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    points = "[[0,8],[7,16],[16,9],[8,0],[5,6],[3,9]]"
+    bad = [
+        ("bad-graph6-padding", ("build", "--graph6", "A`", "--k", "1"), ""),
+        ("bad-json-graph-loop", ("decompose", "--stdin"), json.dumps(
+            {"g1": {"n": 2, "edges": [[1, 1]]}, "g2": p3, "h1": [0],
+             "h2": [0], "k": 1})),
+        ("bad-realize-split", ("realize", "--split",
+                               workloads.graph6(nx.star_graph(3)), "--k",
+                               "2"), ""),
+        ("bad-decompose-h1", ("decompose", "--stdin"), json.dumps(
+            {"g1": p3, "g2": p3, "h1": [5], "h2": [0], "k": 1})),
+        ("bad-geom-collinear", ("geom", "--points", "[[0,0],[1,1],[2,2]]",
+                                "--delaunay"), ""),
+        ("bad-geom-lawson", ("geom", "--points", points, "--lawson",
+                             "[[0,1],[0,2]]"), ""),
+    ]
+    # no checker: only their outcomes are compared
+    cmds += [workloads.Command(name, argv, (), stdin=stdin)
+             for name, argv, stdin in bad]
     return cmds
 
 
 def outcome(src, command):
-    """Exit code and stdout SHA-256 of one workload command under src."""
+    """Exit code, stdout SHA-256 and, on exit 2 or 3, stderr SHA-256 (else
+    None) of one workload command under src."""
     proc = subprocess.run(
         [sys.executable, "-m", "tokenslide.cli", *command.argv],
-        input=command.stdin.encode(), stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=str(src)))
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+        input=command.stdin.encode(), capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    err = (hashlib.sha256(proc.stderr).hexdigest()
+           if proc.returncode in (2, 3) else None)
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), err
 
 
 def main(argv=None):
@@ -111,8 +138,9 @@ def main(argv=None):
                 if old != new:
                     differ += 1
                     print(f"seed {seed} {cmd.name}: exit {old[0]} -> {new[0]}"
-                          f", stdout {old[1][:16]} -> {new[1][:16]}",
-                          flush=True)
+                          f", stdout {old[1][:16]} -> {new[1][:16]}"
+                          f", stderr {(old[2] or '-')[:16]} -> "
+                          f"{(new[2] or '-')[:16]}", flush=True)
     print(f"{differ} of {total} commands differ")
     return 1 if differ else 0
 
